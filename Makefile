@@ -92,6 +92,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzFpArith -fuzztime $(FUZZTIME) ./internal/fp/
 	$(GO) test -run '^$$' -fuzz FuzzChallengeDerivation -fuzztime $(FUZZTIME) ./internal/transcript/
 	$(GO) test -run '^$$' -fuzz FuzzOpeningProofVerify -fuzztime $(FUZZTIME) ./internal/merkle/
+	$(GO) test -run '^$$' -fuzz FuzzProofDecode -fuzztime $(FUZZTIME) ./internal/protocol/
 
 # Aggregate gate: everything CI runs.
 check: build vet test race

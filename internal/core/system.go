@@ -146,21 +146,19 @@ func SystemStages(shape SystemShape, costs perfmodel.OpCosts, encP encoder.Param
 		WorkOps:     float64(2 * shape.NumWires),
 		CyclesPerOp: costs.FieldMulCycles + costs.FieldAddCycles,
 		MemBytes:    float64(2*shape.NumWires) * perfmodel.FieldBytes,
-		// The assembled proof (a few MB) returns to the host.
+		// The assembled proof (about 1 MiB at 2^20 gates) returns to the host.
 		HostBytesOut: proofBytes(shape),
 	})
 	return stages, nil
 }
 
-// proofBytes estimates the serialized proof size: the opened columns
-// dominate ("the proof size … reaches several MB").
+// proofBytes estimates the serialized proof size: the commitment
+// opening, bounded by the size model pcs.NewParams minimizes, dominates;
+// the sum-check rounds add a few KiB.
 func proofBytes(shape SystemShape) float64 {
-	colBytes := float64(shape.Rows) * perfmodel.FieldBytes
-	pathBytes := float64(bits.Len(uint(shape.CwLen))) * perfmodel.HashDigestBytes
-	openings := float64(pcs.DefaultNumOpenings) * (colBytes + pathBytes)
-	rowsOut := 2 * float64(shape.Cols) * perfmodel.FieldBytes
+	opening := float64(pcs.MaxOpeningBytes(shape.Rows, shape.Cols, pcs.DefaultNumOpenings))
 	sumchecks := float64(4*shape.GateVars+3*shape.WireVars) * perfmodel.FieldBytes
-	return openings + rowsOut + sumchecks
+	return opening + sumchecks
 }
 
 // SystemTaskBytes is the device-memory footprint of the pipeline under

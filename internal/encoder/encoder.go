@@ -225,19 +225,18 @@ func sampleMatrix(rng *rand.Rand, inDim, outDim, minW, maxW int) *SparseMatrix {
 		minW = maxW
 	}
 	m := &SparseMatrix{InDim: inDim, OutDim: outDim, Rows: make([][]Entry, outDim)}
-	seen := make(map[int]struct{}, maxW)
 	for j := 0; j < outDim; j++ {
 		w := minW + rng.Intn(maxW-minW+1)
 		// Rejection-sample w distinct columns (w ≪ inDim in practice, and
-		// w ≤ inDim always, so this terminates quickly).
-		clear(seen)
+		// w ≤ inDim always, so this terminates quickly). A row holds at
+		// most maxW entries, so a linear scan finds duplicates faster
+		// than a set would.
 		row := make([]Entry, 0, w)
 		for len(row) < w {
 			c := rng.Intn(inDim)
-			if _, dup := seen[c]; dup {
+			if hasCol(row, c) {
 				continue
 			}
-			seen[c] = struct{}{}
 			var coeff field.Element
 			coeff.SetUint64(rng.Uint64() | 1) // never zero
 			row = append(row, Entry{Col: c, Coeff: coeff})
@@ -245,6 +244,16 @@ func sampleMatrix(rng *rand.Rand, inDim, outDim, minW, maxW int) *SparseMatrix {
 		m.Rows[j] = row
 	}
 	return m
+}
+
+// hasCol reports whether row already has an entry in column c.
+func hasCol(row []Entry, c int) bool {
+	for i := range row {
+		if row[i].Col == c {
+			return true
+		}
+	}
+	return false
 }
 
 // StageWork summarizes the work of one recursion level without

@@ -288,12 +288,3 @@ func Verify(root sha2.Digest, p *Proof) bool {
 	}
 	return cur == root
 }
-
-// VerifyElements checks that a claimed column of field elements is the
-// preimage of the proof's leaf and that the path is valid.
-func VerifyElements(root sha2.Digest, p *Proof, column []field.Element) bool {
-	if p == nil || HashElements(column) != p.Leaf {
-		return false
-	}
-	return Verify(root, p)
-}

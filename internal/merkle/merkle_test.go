@@ -236,19 +236,23 @@ func TestColumns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, _ := tr.Prove(2)
-	if !VerifyElements(tr.Root(), p, cols[2]) {
+	// A verifier re-hashes the opened column into its leaf.
+	verify := func(mp *MultiProof, col []field.Element) bool {
+		return VerifyMulti(tr.Root(), mp, []sha2.Digest{HashElements(col)})
+	}
+	mp, _ := tr.ProveMulti([]int{2})
+	if !verify(mp, cols[2]) {
 		t.Fatal("column verify failed")
 	}
-	if VerifyElements(tr.Root(), p, cols[1]) {
+	if verify(mp, cols[1]) {
 		t.Fatal("accepted wrong column preimage")
 	}
-	if VerifyElements(tr.Root(), nil, cols[2]) {
+	if verify(nil, cols[2]) {
 		t.Fatal("accepted nil proof")
 	}
 	wrong := append([]field.Element{}, cols[2]...)
 	wrong[0] = field.NewElement(999)
-	if VerifyElements(tr.Root(), p, wrong) {
+	if verify(mp, wrong) {
 		t.Fatal("accepted tampered column")
 	}
 }

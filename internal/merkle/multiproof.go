@@ -2,7 +2,7 @@ package merkle
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"batchzk/internal/sha2"
 )
@@ -10,14 +10,12 @@ import (
 // MultiProof is a batched authentication proof for several leaves of one
 // tree: instead of one full path per leaf, it carries only the sibling
 // digests that the verifier cannot reconstruct, deduplicated across the
-// paths. For the polynomial commitment's spot-checks (t columns of the
-// same tree) this shrinks the openings substantially — the dominant part
-// of the "several MB" proofs of this protocol family.
+// paths. The leaf digests themselves are not part of the proof — the
+// verifier recomputes them from the opened data (for the polynomial
+// commitment's spot-checks, by hashing the opened columns).
 type MultiProof struct {
 	// Indices of the proven leaves, strictly increasing.
 	Indices []int
-	// Leaves holds the digests of the proven leaves, aligned to Indices.
-	Leaves []sha2.Digest
 	// Siblings holds the needed sibling digests in the deterministic
 	// order the verifier consumes them (layer by layer, left to right).
 	Siblings []sha2.Digest
@@ -31,30 +29,22 @@ func (t *Tree) ProveMulti(indices []int) (*MultiProof, error) {
 	if len(indices) == 0 {
 		return nil, fmt.Errorf("merkle: no indices to prove")
 	}
-	uniq := map[int]bool{}
 	for _, i := range indices {
 		if i < 0 || i >= t.NumLeaves() {
 			return nil, fmt.Errorf("merkle: leaf %d out of range [0,%d)", i, t.NumLeaves())
 		}
-		uniq[i] = true
 	}
-	sorted := make([]int, 0, len(uniq))
-	for i := range uniq {
-		sorted = append(sorted, i)
-	}
-	sort.Ints(sorted)
-
+	sorted := slices.Clone(indices)
+	slices.Sort(sorted)
+	sorted = slices.Compact(sorted)
 	mp := &MultiProof{Indices: sorted, NumLeaves: t.NumLeaves()}
-	for _, i := range sorted {
-		mp.Leaves = append(mp.Leaves, t.layers[0][i])
-	}
 
 	// Walk up layer by layer: at each layer, the known set is the parents
 	// of the previous known set; a sibling is emitted only if it is not
 	// itself known.
 	known := append([]int{}, sorted...)
 	for l := 0; l < t.Depth(); l++ {
-		var next []int
+		next := known[:0]
 		for k := 0; k < len(known); k++ {
 			idx := known[k]
 			sib := idx ^ 1
@@ -70,9 +60,10 @@ func (t *Tree) ProveMulti(indices []int) (*MultiProof, error) {
 	return mp, nil
 }
 
-// VerifyMulti checks a batched proof against a root.
-func VerifyMulti(root sha2.Digest, mp *MultiProof) bool {
-	if mp == nil || len(mp.Indices) == 0 || len(mp.Indices) != len(mp.Leaves) {
+// VerifyMulti checks a batched proof against a root, given the digests
+// of the proven leaves aligned to mp.Indices.
+func VerifyMulti(root sha2.Digest, mp *MultiProof, leaves []sha2.Digest) bool {
+	if mp == nil || len(mp.Indices) == 0 || len(mp.Indices) != len(leaves) {
 		return false
 	}
 	if mp.NumLeaves <= 0 || mp.NumLeaves&(mp.NumLeaves-1) != 0 {
@@ -92,47 +83,51 @@ func VerifyMulti(root sha2.Digest, mp *MultiProof) bool {
 		}
 	}
 
-	type node struct {
-		idx int
-		d   sha2.Digest
-	}
-	frontier := make([]node, len(mp.Indices))
-	for k := range mp.Indices {
-		frontier[k] = node{idx: mp.Indices[k], d: mp.Leaves[k]}
-	}
+	// The frontier is updated in place: each layer knows at most as many
+	// nodes as the one below it, and node k is written only after nodes
+	// up to k have been read.
+	idx := append([]int{}, mp.Indices...)
+	frontier := append([]sha2.Digest{}, leaves...)
 	sibPos := 0
 	for l := 0; l < depth; l++ {
-		var next []node
-		for k := 0; k < len(frontier); k++ {
-			cur := frontier[k]
-			sib := cur.idx ^ 1
-			var sibDigest sha2.Digest
-			if k+1 < len(frontier) && frontier[k+1].idx == sib {
-				sibDigest = frontier[k+1].d
+		n := 0
+		for k := 0; k < len(idx); k++ {
+			i, cur := idx[k], frontier[k]
+			var sib sha2.Digest
+			if k+1 < len(idx) && idx[k+1] == i^1 {
+				sib = frontier[k+1]
 				k++
 			} else {
 				if sibPos >= len(mp.Siblings) {
 					return false
 				}
-				sibDigest = mp.Siblings[sibPos]
+				sib = mp.Siblings[sibPos]
 				sibPos++
 			}
-			var parent sha2.Digest
-			if cur.idx&1 == 0 {
-				parent = sha2.Compress2(&cur.d, &sibDigest)
+			if i&1 == 0 {
+				frontier[n] = sha2.Compress2(&cur, &sib)
 			} else {
-				parent = sha2.Compress2(&sibDigest, &cur.d)
+				frontier[n] = sha2.Compress2(&sib, &cur)
 			}
-			next = append(next, node{idx: cur.idx / 2, d: parent})
+			idx[n] = i / 2
+			n++
 		}
-		frontier = next
+		idx, frontier = idx[:n], frontier[:n]
 	}
 	if sibPos != len(mp.Siblings) || len(frontier) != 1 {
 		return false
 	}
-	return frontier[0].d == root
+	return frontier[0] == root
 }
 
-// MultiProofSize returns the sibling count of the proof — the quantity
-// dedup saves versus len(Indices)·depth for independent paths.
-func (mp *MultiProof) MultiProofSize() int { return len(mp.Siblings) }
+// MaxMultiSiblings bounds the sibling count of a MultiProof for k leaves
+// of a numLeaves-wide tree (a power of two). At layer l every emitted
+// sibling has a distinct parent, and there are at most min(k,
+// numLeaves/2^(l+1)) parents, so the bound sums that over the layers.
+func MaxMultiSiblings(k, numLeaves int) int {
+	total := 0
+	for w := numLeaves / 2; w >= 1; w /= 2 {
+		total += min(k, w)
+	}
+	return total
+}

@@ -4,7 +4,19 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"batchzk/internal/sha2"
 )
+
+// provenLeaves returns the leaf digests a verifier would recompute for
+// the proof's indices.
+func provenLeaves(tr *Tree, mp *MultiProof) []sha2.Digest {
+	out := make([]sha2.Digest, len(mp.Indices))
+	for k, i := range mp.Indices {
+		out[k] = tr.layers[0][i]
+	}
+	return out
+}
 
 func TestMultiProofRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
@@ -23,7 +35,7 @@ func TestMultiProofRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", idxs, err)
 		}
-		if !VerifyMulti(root, mp) {
+		if !VerifyMulti(root, mp, provenLeaves(tr, mp)) {
 			t.Fatalf("%v: multiproof rejected", idxs)
 		}
 	}
@@ -35,18 +47,18 @@ func TestMultiProofDeduplication(t *testing.T) {
 	// A full subtree of 8 leaves needs siblings only above the subtree:
 	// depth 6, subtree covers 3 levels → 3 siblings.
 	mp, _ := tr.ProveMulti([]int{8, 9, 10, 11, 12, 13, 14, 15})
-	if mp.MultiProofSize() != 3 {
-		t.Fatalf("full-subtree multiproof has %d siblings, want 3", mp.MultiProofSize())
+	if len(mp.Siblings) != 3 {
+		t.Fatalf("full-subtree multiproof has %d siblings, want 3", len(mp.Siblings))
 	}
 	// Versus independent paths: 8 × 6 = 48 digests.
 	single := 8 * tr.Depth()
-	if mp.MultiProofSize() >= single {
+	if len(mp.Siblings) >= single {
 		t.Fatal("multiproof did not save anything")
 	}
 	// A sibling pair at layer 0 saves exactly one digest vs two paths.
 	pair, _ := tr.ProveMulti([]int{20, 21})
-	if pair.MultiProofSize() != tr.Depth()-1 {
-		t.Fatalf("pair multiproof has %d siblings, want %d", pair.MultiProofSize(), tr.Depth()-1)
+	if len(pair.Siblings) != tr.Depth()-1 {
+		t.Fatalf("pair multiproof has %d siblings, want %d", len(pair.Siblings), tr.Depth()-1)
 	}
 }
 
@@ -63,54 +75,58 @@ func TestMultiProofRejections(t *testing.T) {
 	if _, err := tr.ProveMulti([]int{-1}); err == nil {
 		t.Fatal("negative index accepted")
 	}
-	if VerifyMulti(root, nil) {
+	if VerifyMulti(root, nil, nil) {
 		t.Fatal("nil multiproof accepted")
 	}
 
 	mp, _ := tr.ProveMulti([]int{2, 9, 13})
+	leaves := provenLeaves(tr, mp)
 
 	// Tampered leaf.
-	tampered := *mp
-	tampered.Leaves = append(tampered.Leaves[:0:0], mp.Leaves...)
-	tampered.Leaves[1][0] ^= 1
-	if VerifyMulti(root, &tampered) {
+	badLeaves := append([]sha2.Digest{}, leaves...)
+	badLeaves[1][0] ^= 1
+	if VerifyMulti(root, mp, badLeaves) {
 		t.Fatal("tampered leaf accepted")
 	}
+	// Missing leaf.
+	if VerifyMulti(root, mp, leaves[:2]) {
+		t.Fatal("short leaf list accepted")
+	}
 	// Tampered sibling.
-	tampered = *mp
+	tampered := *mp
 	tampered.Siblings = append(tampered.Siblings[:0:0], mp.Siblings...)
 	tampered.Siblings[0][5] ^= 1
-	if VerifyMulti(root, &tampered) {
+	if VerifyMulti(root, &tampered, leaves) {
 		t.Fatal("tampered sibling accepted")
 	}
 	// Extra sibling (must be fully consumed).
 	tampered = *mp
 	tampered.Siblings = append(append(tampered.Siblings[:0:0], mp.Siblings...), mp.Siblings[0])
-	if VerifyMulti(root, &tampered) {
+	if VerifyMulti(root, &tampered, leaves) {
 		t.Fatal("trailing sibling accepted")
 	}
 	// Missing sibling.
 	tampered = *mp
 	tampered.Siblings = mp.Siblings[:len(mp.Siblings)-1]
-	if VerifyMulti(root, &tampered) {
+	if VerifyMulti(root, &tampered, leaves) {
 		t.Fatal("truncated siblings accepted")
 	}
 	// Wrong index ordering.
 	tampered = *mp
 	tampered.Indices = []int{9, 2, 13}
-	if VerifyMulti(root, &tampered) {
+	if VerifyMulti(root, &tampered, leaves) {
 		t.Fatal("unsorted indices accepted")
 	}
 	// Wrong tree width.
 	tampered = *mp
 	tampered.NumLeaves = 12
-	if VerifyMulti(root, &tampered) {
+	if VerifyMulti(root, &tampered, leaves) {
 		t.Fatal("non-power-of-two width accepted")
 	}
 	// Wrong root.
 	badRoot := root
 	badRoot[0] ^= 1
-	if VerifyMulti(badRoot, mp) {
+	if VerifyMulti(badRoot, mp, leaves) {
 		t.Fatal("wrong root accepted")
 	}
 }
@@ -130,10 +146,11 @@ func TestMultiProofMatchesSinglePaths(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if !VerifyMulti(tr.Root(), mp) {
+		if !VerifyMulti(tr.Root(), mp, provenLeaves(tr, mp)) {
 			return false
 		}
-		return mp.MultiProofSize() <= len(mp.Indices)*tr.Depth()
+		return len(mp.Siblings) <= MaxMultiSiblings(len(mp.Indices), tr.NumLeaves()) &&
+			MaxMultiSiblings(len(mp.Indices), tr.NumLeaves()) <= len(mp.Indices)*tr.Depth()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40, Rand: rsrc}); err != nil {
 		t.Fatal(err)

@@ -3,9 +3,7 @@ package pcs
 import (
 	"fmt"
 
-	"batchzk/internal/encoder"
 	"batchzk/internal/field"
-	"batchzk/internal/merkle"
 	"batchzk/internal/transcript"
 )
 
@@ -17,7 +15,7 @@ import (
 type MultiEvalProof struct {
 	TestRow      []field.Element
 	CombinedRows [][]field.Element // one eqHiᵀ·M row per point
-	Columns      []OpenedColumn
+	Opening
 }
 
 // ProveEvalMulti produces one batched proof for all points (each of
@@ -51,25 +49,19 @@ func (s *ProverState) ProveEvalMulti(points [][]field.Element, tr *transcript.Tr
 		values[i] = field.InnerProduct(combined, eqTableOf(lo))
 	}
 
-	idx := tr.ChallengeIndices("pcs/cols", s.params.NumOpenings, s.enc.CodewordLen())
-	for _, j := range idx {
-		col := make([]field.Element, s.params.NumRows)
-		for r := 0; r < s.params.NumRows; r++ {
-			col[r] = s.encoded[r][j]
-		}
-		mp, err := s.tree.Prove(j)
-		if err != nil {
-			return nil, nil, err
-		}
-		proof.Columns = append(proof.Columns, OpenedColumn{Index: j, Values: col, Proof: mp})
+	op, err := s.open(tr)
+	if err != nil {
+		return nil, nil, err
 	}
+	proof.Opening = op
 	return proof, values, nil
 }
 
 // VerifyEvalMulti checks a batched evaluation proof against a commitment,
 // the points, and the claimed values.
 func VerifyEvalMulti(comm Commitment, points [][]field.Element, values []field.Element, proof *MultiEvalProof, params Params, tr *transcript.Transcript) error {
-	if err := params.Validate(); err != nil {
+	enc, err := layoutEncoder(comm, params)
+	if err != nil {
 		return err
 	}
 	if len(points) == 0 || len(points) != len(values) {
@@ -77,13 +69,6 @@ func VerifyEvalMulti(comm Commitment, points [][]field.Element, values []field.E
 	}
 	if proof == nil || len(proof.CombinedRows) != len(points) || len(proof.TestRow) != params.NumCols {
 		return fmt.Errorf("%w: malformed multi-eval proof", ErrReject)
-	}
-	if comm.NumRows != params.NumRows || comm.NumCols != params.NumCols {
-		return fmt.Errorf("pcs: commitment layout mismatch")
-	}
-	enc, err := encoder.Cached(params.NumCols, params.Enc)
-	if err != nil {
-		return err
 	}
 
 	n := comm.NumVars()
@@ -98,49 +83,19 @@ func VerifyEvalMulti(comm Commitment, points [][]field.Element, values []field.E
 	gamma := tr.ChallengeElements("pcs/gamma", params.NumRows)
 	tr.AppendElements("pcs/testrow", proof.TestRow)
 
-	encRows := make([][]field.Element, 0, len(points)+1)
-	encTest, err := enc.Encode(proof.TestRow)
-	if err != nil {
-		return err
-	}
-	encRows = append(encRows, encTest)
-	eqHis := make([][]field.Element, len(points))
+	coeffs := [][]field.Element{gamma}
+	rows := [][]field.Element{proof.TestRow}
 	for i, pt := range points {
 		if len(proof.CombinedRows[i]) != params.NumCols {
 			return fmt.Errorf("%w: eval row %d malformed", ErrReject, i)
 		}
 		tr.AppendElements("pcs/evalrow", proof.CombinedRows[i])
-		encEval, err := enc.Encode(proof.CombinedRows[i])
-		if err != nil {
-			return err
-		}
-		encRows = append(encRows, encEval)
 		_, hi := splitPoint(pt, params.NumCols)
-		eqHis[i] = eqTableOf(hi)
+		coeffs = append(coeffs, eqTableOf(hi))
+		rows = append(rows, proof.CombinedRows[i])
 	}
-
-	idx := tr.ChallengeIndices("pcs/cols", params.NumOpenings, enc.CodewordLen())
-	if len(proof.Columns) != len(idx) {
-		return fmt.Errorf("%w: %d opened columns, want %d", ErrReject, len(proof.Columns), len(idx))
-	}
-	for k, col := range proof.Columns {
-		if col.Index != idx[k] || len(col.Values) != params.NumRows ||
-			col.Proof == nil || col.Proof.Index != col.Index {
-			return fmt.Errorf("%w: column %d malformed", ErrReject, k)
-		}
-		if !merkle.VerifyElements(comm.Root, col.Proof, col.Values) {
-			return fmt.Errorf("%w: column %d Merkle path invalid", ErrReject, k)
-		}
-		got := field.InnerProduct(gamma, col.Values)
-		if !got.Equal(&encRows[0][col.Index]) {
-			return fmt.Errorf("%w: column %d fails proximity check", ErrReject, k)
-		}
-		for i := range points {
-			got := field.InnerProduct(eqHis[i], col.Values)
-			if !got.Equal(&encRows[i+1][col.Index]) {
-				return fmt.Errorf("%w: column %d fails evaluation check for point %d", ErrReject, k, i)
-			}
-		}
+	if err := verifyOpening(tr, comm, params, enc, &proof.Opening, coeffs, rows); err != nil {
+		return err
 	}
 
 	for i, pt := range points {

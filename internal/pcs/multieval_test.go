@@ -38,8 +38,8 @@ func TestMultiEvalRoundTrip(t *testing.T) {
 		}
 		// Column sharing: the Merkle part does not grow with the number
 		// of points.
-		if len(proof.Columns) != p.NumOpenings {
-			t.Fatalf("opened %d columns, want %d", len(proof.Columns), p.NumOpenings)
+		if len(proof.Columns) > p.NumOpenings {
+			t.Fatalf("opened %d columns, at most %d challenged", len(proof.Columns), p.NumOpenings)
 		}
 	}
 }

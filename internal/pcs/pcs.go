@@ -17,7 +17,6 @@
 package pcs
 
 import (
-	"errors"
 	"fmt"
 	"math/bits"
 
@@ -48,17 +47,23 @@ type Params struct {
 // DefaultNumOpenings is the default column-opening count.
 const DefaultNumOpenings = 64
 
-// NewParams picks a near-square matrix layout for a vector of length
-// 2^logN and the default encoder/security parameters.
+// NewParams lays out a vector of length 2^logN for the smallest proof:
+// of the power-of-two splits rows×cols with cols at least the encoder's
+// base size, it picks the one minimizing MaxOpeningBytes at the default
+// opening count. An opening sends t columns rows tall and two rows cols
+// wide plus the shared paths of a RateInv·cols-leaf tree, so the optimum
+// balances t·rows against 2·cols (a 2^15 vector gets 32×1024, a 2^11
+// vector 8×256). Soundness depends on t and the code's distance, not on
+// the aspect ratio.
 func NewParams(logN int) Params {
-	logCols := (logN + 1) / 2
 	enc := encoder.DefaultParams()
-	// Columns must be at least the encoder's base size.
-	for 1<<logCols < enc.BaseSize {
-		logCols++
-	}
-	if logCols > logN {
-		logCols = logN
+	logCols := logN // inputs below the encoder base: one row
+	best := 0
+	for lc := bits.TrailingZeros(uint(enc.BaseSize)); lc <= logN; lc++ {
+		size := MaxOpeningBytes(1<<(logN-lc), 1<<lc, DefaultNumOpenings)
+		if best == 0 || size < best {
+			logCols, best = lc, size
+		}
 	}
 	return Params{
 		NumRows:     1 << (logN - logCols),
@@ -177,20 +182,13 @@ func Commit(values []field.Element, params Params) (*ProverState, error) {
 	return s, nil
 }
 
-// OpenedColumn is one spot-checked column of the encoded matrix.
-type OpenedColumn struct {
-	Index  int
-	Values []field.Element
-	Proof  *merkle.Proof
-}
-
 // EvalProof proves that the committed polynomial evaluates to a claimed
 // value at a point: a proximity-test row, the evaluation row, and the
 // opened columns supporting both.
 type EvalProof struct {
 	TestRow     []field.Element // γᵀ·M for the transcript-derived γ
 	CombinedRow []field.Element // eqHiᵀ·M for the query point
-	Columns     []OpenedColumn
+	Opening
 }
 
 // splitPoint separates an evaluation point into (column vars, row vars).
@@ -246,56 +244,46 @@ func (s *ProverState) ProveEval(point []field.Element, tr *transcript.Transcript
 	combined := combineRows(eqHi, s.rows, s.params.NumCols)
 	tr.AppendElements("pcs/evalrow", combined)
 
-	idx := tr.ChallengeIndices("pcs/cols", s.params.NumOpenings, s.enc.CodewordLen())
-	proof := &EvalProof{TestRow: testRow, CombinedRow: combined}
-	// Column openings are independent (tree reads + disjoint writes into
-	// the preallocated slice keep the idx order of the serial loop).
-	proof.Columns = make([]OpenedColumn, len(idx))
-	ow := 0
-	if len(idx)*s.params.NumRows < parallelCombine {
-		ow = 1
+	op, err := s.open(tr)
+	if err != nil {
+		return nil, field.Element{}, err
 	}
-	ck := par.Chunks(ow, len(idx))
-	openErrs := make([]error, ck)
-	par.ForChunks(ck, len(idx), func(c, lo, hi int) {
-		for k := lo; k < hi; k++ {
-			j := idx[k]
-			col := make([]field.Element, s.params.NumRows)
-			for r := 0; r < s.params.NumRows; r++ {
-				col[r] = s.encoded[r][j]
-			}
-			mp, err := s.tree.Prove(j)
-			if err != nil {
-				openErrs[c] = err
-				return
-			}
-			proof.Columns[k] = OpenedColumn{Index: j, Values: col, Proof: mp}
-		}
-	})
-	for _, err := range openErrs {
-		if err != nil {
-			return nil, field.Element{}, err
-		}
-	}
-
-	eqLo := eqTableOf(lo)
-	value := field.InnerProduct(combined, eqLo)
-	return proof, value, nil
+	value := field.InnerProduct(combined, eqTableOf(lo))
+	return &EvalProof{TestRow: testRow, CombinedRow: combined, Opening: op}, value, nil
 }
 
-// ErrReject is returned when an evaluation proof fails.
-var ErrReject = errors.New("pcs: proof rejected")
+// open answers the column challenge from the retained encoded matrix.
+func (s *ProverState) open(tr *transcript.Transcript) (Opening, error) {
+	return openColumns(tr, s.params, s.tree, func(uniq []int, cols [][]field.Element) error {
+		for k, j := range uniq {
+			for r := range cols[k] {
+				cols[k][r] = s.encoded[r][j]
+			}
+		}
+		return nil
+	})
+}
+
+// layoutEncoder checks that a commitment matches the verifier's
+// parameters and returns the encoder of their row length.
+func layoutEncoder(comm Commitment, params Params) (*encoder.Encoder, error) {
+	if err := params.Validate(); err != nil {
+		return nil, err
+	}
+	if comm.NumRows != params.NumRows || comm.NumCols != params.NumCols {
+		return nil, fmt.Errorf("pcs: commitment layout %dx%d does not match params %dx%d",
+			comm.NumRows, comm.NumCols, params.NumRows, params.NumCols)
+	}
+	return encoder.Cached(params.NumCols, params.Enc)
+}
 
 // VerifyEval checks an evaluation proof against a commitment, point, and
 // claimed value. The verifier re-encodes the two combined rows (O(cols)
 // work) and checks them against the opened columns.
 func VerifyEval(comm Commitment, point []field.Element, value field.Element, proof *EvalProof, params Params, tr *transcript.Transcript) error {
-	if err := params.Validate(); err != nil {
+	enc, err := layoutEncoder(comm, params)
+	if err != nil {
 		return err
-	}
-	if comm.NumRows != params.NumRows || comm.NumCols != params.NumCols {
-		return fmt.Errorf("pcs: commitment layout %dx%d does not match params %dx%d",
-			comm.NumRows, comm.NumCols, params.NumRows, params.NumCols)
 	}
 	if len(point) != comm.NumVars() {
 		return fmt.Errorf("pcs: point arity %d, want %d", len(point), comm.NumVars())
@@ -303,62 +291,20 @@ func VerifyEval(comm Commitment, point []field.Element, value field.Element, pro
 	if proof == nil || len(proof.TestRow) != params.NumCols || len(proof.CombinedRow) != params.NumCols {
 		return fmt.Errorf("%w: malformed proof rows", ErrReject)
 	}
-	enc, err := encoder.Cached(params.NumCols, params.Enc)
-	if err != nil {
-		return err
-	}
 
 	tr.AppendDigest("pcs/root", comm.Root)
 	tr.AppendElements("pcs/point", point)
 	gamma := tr.ChallengeElements("pcs/gamma", params.NumRows)
 	tr.AppendElements("pcs/testrow", proof.TestRow)
 	tr.AppendElements("pcs/evalrow", proof.CombinedRow)
-	idx := tr.ChallengeIndices("pcs/cols", params.NumOpenings, enc.CodewordLen())
-
-	if len(proof.Columns) != len(idx) {
-		return fmt.Errorf("%w: %d opened columns, want %d", ErrReject, len(proof.Columns), len(idx))
-	}
-
-	encTest, err := enc.Encode(proof.TestRow)
-	if err != nil {
-		return err
-	}
-	encEval, err := enc.Encode(proof.CombinedRow)
-	if err != nil {
-		return err
-	}
 
 	lo, hi := splitPoint(point, params.NumCols)
-	eqHi := eqTableOf(hi)
-
-	for k, col := range proof.Columns {
-		if col.Index != idx[k] {
-			return fmt.Errorf("%w: column %d opened at index %d, challenged %d", ErrReject, k, col.Index, idx[k])
-		}
-		if len(col.Values) != params.NumRows {
-			return fmt.Errorf("%w: column %d has %d values", ErrReject, k, len(col.Values))
-		}
-		if col.Proof == nil || col.Proof.Index != col.Index {
-			return fmt.Errorf("%w: column %d proof index mismatch", ErrReject, k)
-		}
-		if !merkle.VerifyElements(comm.Root, col.Proof, col.Values) {
-			return fmt.Errorf("%w: column %d Merkle path invalid", ErrReject, k)
-		}
-		// γᵀ·col must equal encode(testRow)[j]; eqHiᵀ·col must equal
-		// encode(evalRow)[j] — linearity of the code makes both hold for
-		// an honest matrix.
-		got := field.InnerProduct(gamma, col.Values)
-		if !got.Equal(&encTest[col.Index]) {
-			return fmt.Errorf("%w: column %d fails proximity check", ErrReject, k)
-		}
-		got = field.InnerProduct(eqHi, col.Values)
-		if !got.Equal(&encEval[col.Index]) {
-			return fmt.Errorf("%w: column %d fails evaluation check", ErrReject, k)
-		}
+	err = verifyOpening(tr, comm, params, enc, &proof.Opening,
+		[][]field.Element{gamma, eqTableOf(hi)}, [][]field.Element{proof.TestRow, proof.CombinedRow})
+	if err != nil {
+		return err
 	}
-
-	eqLo := eqTableOf(lo)
-	want := field.InnerProduct(proof.CombinedRow, eqLo)
+	want := field.InnerProduct(proof.CombinedRow, eqTableOf(lo))
 	if !want.Equal(&value) {
 		return fmt.Errorf("%w: combined row does not yield the claimed value", ErrReject)
 	}

@@ -1,6 +1,7 @@
 package pcs
 
 import (
+	"errors"
 	"fmt"
 
 	"batchzk/internal/encoder"
@@ -286,46 +287,29 @@ func (s *StreamState) ProveEval(rows RowAt, point []field.Element, tr *transcrip
 	tr.AppendElements("pcs/testrow", testRow)
 	tr.AppendElements("pcs/evalrow", combined)
 
-	idx := tr.ChallengeIndices("pcs/cols", s.params.NumOpenings, s.enc.CodewordLen())
-	proof := &EvalProof{TestRow: testRow, CombinedRow: combined}
-	proof.Columns = make([]OpenedColumn, len(idx))
-	for k, j := range idx {
-		proof.Columns[k] = OpenedColumn{
-			Index:  j,
-			Values: make([]field.Element, numRows),
-		}
-	}
 	// Re-encode each message row once and scatter the challenged codeword
 	// positions into the open columns: O(openings·rows) proof data live,
 	// one row's codeword per worker in flight.
-	k := par.Chunks(0, numRows)
-	openErrs := make([]error, k)
-	par.ForChunks(k, numRows, func(c, rLo, rHi int) {
-		for r := rLo; r < rHi; r++ {
-			cw, err := s.enc.Encode(rows(r))
-			if err != nil {
-				openErrs[c] = err
-				return
+	op, err := openColumns(tr, s.params, s.tree, func(uniq []int, cols [][]field.Element) error {
+		k := par.Chunks(0, numRows)
+		errs := make([]error, k)
+		par.ForChunks(k, numRows, func(c, rLo, rHi int) {
+			for r := rLo; r < rHi; r++ {
+				cw, err := s.enc.Encode(rows(r))
+				if err != nil {
+					errs[c] = err
+					return
+				}
+				for ki, j := range uniq {
+					cols[ki][r] = cw[j]
+				}
 			}
-			for ki := range idx {
-				proof.Columns[ki].Values[r] = cw[idx[ki]]
-			}
-		}
+		})
+		return errors.Join(errs...)
 	})
-	for _, err := range openErrs {
-		if err != nil {
-			return nil, field.Element{}, err
-		}
+	if err != nil {
+		return nil, field.Element{}, err
 	}
-	for ki, j := range idx {
-		mp, err := s.tree.Prove(j)
-		if err != nil {
-			return nil, field.Element{}, err
-		}
-		proof.Columns[ki].Proof = mp
-	}
-
-	eqLo := eqTableOf(lo)
-	value := field.InnerProduct(combined, eqLo)
-	return proof, value, nil
+	value := field.InnerProduct(combined, eqTableOf(lo))
+	return &EvalProof{TestRow: testRow, CombinedRow: combined, Opening: op}, value, nil
 }

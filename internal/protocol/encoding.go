@@ -3,31 +3,52 @@ package protocol
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
 
+	lincode "batchzk/internal/encoder"
 	"batchzk/internal/field"
-	"batchzk/internal/merkle"
 	"batchzk/internal/pcs"
 	"batchzk/internal/sha2"
 	"batchzk/internal/sumcheck"
 )
 
-// Binary proof encoding. The format is versioned and length-prefixed:
+// Binary proof encoding, version BZK2:
 //
-//	magic "BZK1" | commitment | outputs | o_tau | hadamard rounds |
-//	l_rho | r_rho | linear rounds | w_sigma | pcs proof
+//	magic "BZK2" | root | rows | cols | outputs | o_tau |
+//	hadamard rounds | l_rho | r_rho | linear rounds | w_sigma |
+//	test row | eval row | column count k | k column indices |
+//	k·rows column values | sibling count | siblings
 //
-// All integers are little-endian uint32 (lengths) and field elements are
-// 32-byte canonical big-endian. The dominant contribution is the opened
-// columns of the polynomial commitment — the proofs of this protocol
-// family "reach several MB" (paper §2.1), which TestProofSize verifies.
+// Integers are little-endian uint32; field elements are 32-byte canonical
+// big-endian; digests are 32 bytes. Outputs, rounds and the two rows are
+// length-prefixed. The opened columns are not: each is rows values tall,
+// as the commitment declares, and they share one Merkle multiproof whose
+// leaves the verifier recomputes from the values. The columns still
+// dominate the proof — this protocol family's proofs "reach several MB"
+// at the paper's scales (§2.1) — which is why pcs.NewParams picks the
+// commitment layout that minimizes them.
+//
+// The decoder checks every length against the shape the commitment
+// declares before reading the items it counts, and grows slices as items
+// arrive, so a forged length costs at most one readChunk of memory
+// before the input runs out.
 
-var proofMagic = [4]byte{'B', 'Z', 'K', '1'}
+var proofMagic = [4]byte{'B', 'Z', 'K', '2'}
 
-// maxLen bounds every length field to keep a corrupt stream from
-// triggering huge allocations.
-const maxLen = 1 << 28
+const (
+	// maxCommitted caps rows·cols of a decoded commitment.
+	maxCommitted = 1 << 28
+	// maxRounds caps a sum-check's round count: one round per variable
+	// of a hypercube whose size fits in a uint64.
+	maxRounds = 64
+	// readChunk is how many items a decoded slice may be allocated ahead
+	// of the items actually read.
+	readChunk = 1 << 12
+)
 
 type encoder struct {
 	w   io.Writer
@@ -38,7 +59,7 @@ func (e *encoder) u32(v int) {
 	if e.err != nil {
 		return
 	}
-	if v < 0 || v > maxLen {
+	if v < 0 || v > math.MaxUint32 {
 		e.err = fmt.Errorf("protocol: length %d out of range", v)
 		return
 	}
@@ -56,7 +77,6 @@ func (e *encoder) elem(x *field.Element) {
 }
 
 func (e *encoder) elems(xs []field.Element) {
-	e.u32(len(xs))
 	for i := range xs {
 		e.elem(&xs[i])
 	}
@@ -74,30 +94,43 @@ type decoder struct {
 	err error
 }
 
-func (d *decoder) u32() int {
-	if d.err != nil {
-		return 0
+func (d *decoder) fail(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf("protocol: "+format, args...)
 	}
-	var b [4]byte
-	if _, err := io.ReadFull(d.r, b[:]); err != nil {
-		d.err = fmt.Errorf("protocol: truncated proof: %w", err)
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(b[:])
-	if v > maxLen {
-		d.err = fmt.Errorf("protocol: length %d out of range", v)
-		return 0
-	}
-	return int(v)
 }
 
-func (d *decoder) elem(x *field.Element) {
+func (d *decoder) read(b []byte) {
 	if d.err != nil {
 		return
 	}
-	var b [field.Bytes]byte
-	if _, err := io.ReadFull(d.r, b[:]); err != nil {
+	if _, err := io.ReadFull(d.r, b); err != nil {
 		d.err = fmt.Errorf("protocol: truncated proof: %w", err)
+	}
+}
+
+func (d *decoder) u32() int {
+	var b [4]byte
+	d.read(b[:])
+	return int(binary.LittleEndian.Uint32(b[:]))
+}
+
+// count reads a length field and checks it against [lo, hi].
+func (d *decoder) count(what string, lo, hi int) int {
+	n := d.u32()
+	if d.err == nil && (n < lo || n > hi) {
+		d.fail("%s count %d outside [%d, %d]", what, n, lo, hi)
+	}
+	if d.err != nil {
+		return 0
+	}
+	return n
+}
+
+func (d *decoder) elem(x *field.Element) {
+	var b [field.Bytes]byte
+	d.read(b[:])
+	if d.err != nil {
 		return
 	}
 	if err := x.SetBytes(b); err != nil {
@@ -105,32 +138,56 @@ func (d *decoder) elem(x *field.Element) {
 	}
 }
 
-func (d *decoder) elems() []field.Element {
-	n := d.u32()
+func (d *decoder) digest() sha2.Digest {
+	var out sha2.Digest
+	d.read(out[:])
+	return out
+}
+
+// readN decodes n items with one, growing the result as items arrive.
+func readN[T any](d *decoder, n int, one func(*T)) []T {
+	out := make([]T, 0, min(n, readChunk))
+	for len(out) < n && d.err == nil {
+		var x T
+		one(&x)
+		out = append(out, x)
+	}
 	if d.err != nil {
 		return nil
-	}
-	out := make([]field.Element, n)
-	for i := range out {
-		d.elem(&out[i])
 	}
 	return out
 }
 
-func (d *decoder) digest() sha2.Digest {
-	var out sha2.Digest
-	if d.err != nil {
-		return out
+// errIncomplete is returned when a proof lacks a component or does not
+// match the shape its commitment declares.
+var errIncomplete = errors.New("protocol: cannot serialize incomplete or misshapen proof")
+
+// wireShape checks what the encoding leaves implicit: every section is
+// present, both rows are cols wide, and there is one rows-tall column per
+// opened index.
+func (p *Proof) wireShape() error {
+	if p.Hadamard == nil || p.Linear == nil || p.PCSProof == nil {
+		return errIncomplete
 	}
-	if _, err := io.ReadFull(d.r, out[:]); err != nil {
-		d.err = fmt.Errorf("protocol: truncated proof: %w", err)
+	op := p.PCSProof
+	if len(op.TestRow) != p.Commitment.NumCols || len(op.CombinedRow) != p.Commitment.NumCols ||
+		len(op.Columns) != len(op.Paths.Indices) {
+		return errIncomplete
 	}
-	return out
+	for _, col := range op.Columns {
+		if len(col) != p.Commitment.NumRows {
+			return errIncomplete
+		}
+	}
+	return nil
 }
 
 // WriteTo serializes the proof.
 func (p *Proof) WriteTo(w io.Writer) (int64, error) {
 	cw := &countingWriter{w: w}
+	if err := p.wireShape(); err != nil {
+		return 0, err
+	}
 	e := &encoder{w: cw}
 	if _, err := cw.Write(proofMagic[:]); err != nil {
 		return cw.n, err
@@ -138,16 +195,12 @@ func (p *Proof) WriteTo(w io.Writer) (int64, error) {
 	e.digest(p.Commitment.Root)
 	e.u32(p.Commitment.NumRows)
 	e.u32(p.Commitment.NumCols)
+	e.u32(len(p.Outputs))
 	e.elems(p.Outputs)
 	e.elem(&p.OTau)
-	if p.Hadamard == nil || p.Linear == nil || p.PCSProof == nil {
-		return cw.n, fmt.Errorf("protocol: cannot serialize incomplete proof")
-	}
 	e.u32(len(p.Hadamard.Rounds))
 	for i := range p.Hadamard.Rounds {
-		for j := range p.Hadamard.Rounds[i].At {
-			e.elem(&p.Hadamard.Rounds[i].At[j])
-		}
+		e.elems(p.Hadamard.Rounds[i].At[:])
 	}
 	e.elem(&p.LRho)
 	e.elem(&p.RRho)
@@ -159,22 +212,21 @@ func (p *Proof) WriteTo(w io.Writer) (int64, error) {
 		e.elem(&rd.At2)
 	}
 	e.elem(&p.WSigma)
-	e.elems(p.PCSProof.TestRow)
-	e.elems(p.PCSProof.CombinedRow)
-	e.u32(len(p.PCSProof.Columns))
-	for i := range p.PCSProof.Columns {
-		col := &p.PCSProof.Columns[i]
-		e.u32(col.Index)
-		e.elems(col.Values)
-		if col.Proof == nil {
-			return cw.n, fmt.Errorf("protocol: column %d missing Merkle proof", i)
-		}
-		e.u32(col.Proof.Index)
-		e.digest(col.Proof.Leaf)
-		e.u32(len(col.Proof.Siblings))
-		for _, s := range col.Proof.Siblings {
-			e.digest(s)
-		}
+	op := p.PCSProof
+	for _, row := range [][]field.Element{op.TestRow, op.CombinedRow} {
+		e.u32(len(row))
+		e.elems(row)
+	}
+	e.u32(len(op.Paths.Indices))
+	for _, j := range op.Paths.Indices {
+		e.u32(j)
+	}
+	for _, col := range op.Columns {
+		e.elems(col)
+	}
+	e.u32(len(op.Paths.Siblings))
+	for _, s := range op.Paths.Siblings {
+		e.digest(s)
 	}
 	return cw.n, e.err
 }
@@ -184,66 +236,65 @@ func (p *Proof) ReadFrom(r io.Reader) (int64, error) {
 	cr := &countingReader{r: r}
 	d := &decoder{r: cr}
 	var magic [4]byte
-	if _, err := io.ReadFull(cr, magic[:]); err != nil {
-		return cr.n, fmt.Errorf("protocol: truncated proof: %w", err)
+	d.read(magic[:])
+	if d.err == nil && magic != proofMagic {
+		d.fail("bad magic %q", magic)
 	}
-	if magic != proofMagic {
-		return cr.n, fmt.Errorf("protocol: bad magic %q", magic)
+	p.Commitment = pcs.Commitment{Root: d.digest(), NumRows: d.u32(), NumCols: d.u32()}
+	rows, cols := p.Commitment.NumRows, p.Commitment.NumCols
+	if d.err == nil && (rows == 0 || cols == 0 || rows&(rows-1) != 0 || cols&(cols-1) != 0 || rows > maxCommitted/cols) {
+		d.fail("commitment layout %dx%d is not a power-of-two matrix of at most %d cells", rows, cols, maxCommitted)
 	}
-	p.Commitment = pcs.Commitment{
-		Root:    d.digest(),
-		NumRows: d.u32(),
-		NumCols: d.u32(),
-	}
-	p.Outputs = d.elems()
-	d.elem(&p.OTau)
-	p.Hadamard = &sumcheck.TripleProof{Rounds: make([]sumcheck.TripleRound, d.u32())}
-	for i := range p.Hadamard.Rounds {
-		for j := range p.Hadamard.Rounds[i].At {
-			d.elem(&p.Hadamard.Rounds[i].At[j])
-		}
-	}
-	d.elem(&p.LRho)
-	d.elem(&p.RRho)
-	p.Linear = &sumcheck.ProductProof{Rounds: make([]sumcheck.ProductRound, d.u32())}
-	for i := range p.Linear.Rounds {
-		rd := &p.Linear.Rounds[i]
-		d.elem(&rd.At0)
-		d.elem(&rd.At1)
-		d.elem(&rd.At2)
-	}
-	d.elem(&p.WSigma)
-	p.PCSProof = &pcs.EvalProof{
-		TestRow:     d.elems(),
-		CombinedRow: d.elems(),
-	}
-	numCols := d.u32()
 	if d.err != nil {
 		return cr.n, d.err
 	}
-	p.PCSProof.Columns = make([]pcs.OpenedColumn, numCols)
-	for i := range p.PCSProof.Columns {
-		col := &p.PCSProof.Columns[i]
-		col.Index = d.u32()
-		col.Values = d.elems()
-		mp := &merkle.Proof{Index: d.u32(), Leaf: d.digest()}
-		nSib := d.u32()
-		if d.err != nil {
-			return cr.n, d.err
+	p.Outputs = readN(d, d.count("output", 0, rows*cols), d.elem)
+	d.elem(&p.OTau)
+	p.Hadamard = &sumcheck.TripleProof{Rounds: readN(d, d.count("hadamard round", 0, maxRounds),
+		func(rd *sumcheck.TripleRound) {
+			for j := range rd.At {
+				d.elem(&rd.At[j])
+			}
+		})}
+	d.elem(&p.LRho)
+	d.elem(&p.RRho)
+	numVars := bits.TrailingZeros(uint(rows * cols))
+	p.Linear = &sumcheck.ProductProof{Rounds: readN(d, d.count("linear round", numVars, numVars),
+		func(rd *sumcheck.ProductRound) {
+			d.elem(&rd.At0)
+			d.elem(&rd.At1)
+			d.elem(&rd.At2)
+		})}
+	d.elem(&p.WSigma)
+
+	op := &pcs.EvalProof{}
+	op.TestRow = readN(d, d.count("test row", cols, cols), d.elem)
+	op.CombinedRow = readN(d, d.count("eval row", cols, cols), d.elem)
+	leaves := lincode.RateInv * cols
+	k := d.count("column", 0, leaves)
+	op.Paths.Indices = readN(d, k, func(j *int) { *j = d.u32() })
+	values := readN(d, k*rows, d.elem)
+	if d.err == nil {
+		op.Columns = make([][]field.Element, k)
+		for i := range op.Columns {
+			op.Columns[i] = values[i*rows : (i+1)*rows : (i+1)*rows]
 		}
-		mp.Siblings = make([]sha2.Digest, nSib)
-		for s := range mp.Siblings {
-			mp.Siblings[s] = d.digest()
-		}
-		col.Proof = mp
 	}
+	depth := bits.TrailingZeros(uint(leaves))
+	op.Paths.Siblings = readN(d, d.count("sibling", 0, k*depth), func(s *sha2.Digest) { *s = d.digest() })
+	op.Paths.NumLeaves = leaves
+	p.PCSProof = op
 	return cr.n, d.err
 }
 
 // MarshalBinary serializes the proof to a byte slice.
 func (p *Proof) MarshalBinary() ([]byte, error) {
-	var buf bytes.Buffer
-	if _, err := p.WriteTo(&buf); err != nil {
+	size, err := p.Size()
+	if err != nil {
+		return nil, err
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, size))
+	if _, err := p.WriteTo(buf); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
@@ -262,13 +313,19 @@ func (p *Proof) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// Size returns the serialized proof size in bytes.
+// Size returns the serialized proof size in bytes, computed from the
+// section counts without encoding anything.
 func (p *Proof) Size() (int, error) {
-	b, err := p.MarshalBinary()
-	if err != nil {
+	if err := p.wireShape(); err != nil {
 		return 0, err
 	}
-	return len(b), nil
+	const u32 = 4
+	n := len(proofMagic) + sha2.Size + 2*u32 + // commitment
+		u32 + len(p.Outputs)*field.Bytes + field.Bytes + // outputs, o_tau
+		u32 + len(p.Hadamard.Rounds)*len(sumcheck.TripleRound{}.At)*field.Bytes + 2*field.Bytes + // hadamard, l_rho, r_rho
+		u32 + len(p.Linear.Rounds)*3*field.Bytes + field.Bytes // linear, w_sigma
+	op := p.PCSProof
+	return n + pcs.OpeningBytes(p.Commitment.NumRows, p.Commitment.NumCols, len(op.Columns), len(op.Paths.Siblings)), nil
 }
 
 type countingWriter struct {

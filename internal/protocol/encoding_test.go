@@ -2,11 +2,18 @@ package protocol
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
+	"math/bits"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"batchzk/internal/circuit"
+	lincode "batchzk/internal/encoder"
 	"batchzk/internal/field"
+	"batchzk/internal/pcs"
+	"batchzk/internal/sha2"
 )
 
 func proofForTest(t testing.TB, gates int) (*circuit.Circuit, *Params, []field.Element, *Proof) {
@@ -121,27 +128,140 @@ func TestRandomBitFlipsNeverVerify(t *testing.T) {
 	}
 }
 
+// wireBytes is the BZK2 size of a proof, section by section.
+func wireBytes(p *Proof) int {
+	const u32, elem = 4, field.Bytes
+	op := p.PCSProof
+	n := 4 + sha2.Size + 2*u32 // magic, root, rows, cols
+	n += u32 + len(p.Outputs)*elem + elem
+	n += u32 + len(p.Hadamard.Rounds)*4*elem + 2*elem
+	n += u32 + len(p.Linear.Rounds)*3*elem + elem
+	n += 2 * (u32 + p.Commitment.NumCols*elem)                       // test and eval rows
+	n += u32 + len(op.Paths.Indices)*(u32+p.Commitment.NumRows*elem) // columns
+	n += u32 + len(op.Paths.Siblings)*sha2.Size                      // shared paths
+	return n
+}
+
 func TestProofSize(t *testing.T) {
-	// The paper: "the proof size of the second category is relatively
-	// larger and reaches several MB". Check the scaling: opened columns
-	// dominate, so size grows with the commitment's row count.
+	// Opened columns dominate, so size grows with the circuit.
 	_, _, _, small := proofForTest(t, 32)
-	_, _, _, large := proofForTest(t, 2048)
-	ss, err := small.Size()
-	if err != nil {
-		t.Fatal(err)
+	_, p, _, large := proofForTest(t, 2048)
+	for _, proof := range []*Proof{small, large} {
+		data, err := proof.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(data) != wireBytes(proof) {
+			t.Fatalf("wire size %d, section accounting %d", len(data), wireBytes(proof))
+		}
 	}
-	ls, err := large.Size()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ss, ls := wireBytes(small), wireBytes(large)
 	if ls <= ss {
 		t.Fatalf("proof size should grow with scale: %d vs %d", ls, ss)
 	}
-	t.Logf("proof sizes: 32 gates → %d KiB, 2048 gates → %d KiB", ss/1024, ls/1024)
-	// At 2048 gates the proof already exceeds 100 KiB; extrapolating the
-	// √S column growth to the paper's 2^20 scale lands in the MB range.
-	if ls < 100*1024 {
-		t.Fatalf("proof unexpectedly small: %d bytes", ls)
+	// Against the near-square layout with one independent Merkle path per
+	// opened column, the chosen layout and shared paths must at least
+	// halve the proof (a 55% ceiling).
+	logN := bits.TrailingZeros(uint(p.NumWires))
+	cols := 1 << ((logN + 1) / 2)
+	rows := p.NumWires / cols
+	nOpen := p.PCS.NumOpenings
+	op := large.PCSProof
+	shared := pcs.OpeningBytes(p.PCS.NumRows, p.PCS.NumCols, len(op.Columns), len(op.Paths.Siblings))
+	indep := pcs.OpeningBytes(rows, cols, nOpen, nOpen*bits.TrailingZeros(uint(lincode.RateInv*cols)))
+	nearSquare := ls - shared + indep
+	t.Logf("2048 gates: %d B (%dx%d, %d columns, %d siblings); near-square independent %dx%d: %d B",
+		ls, p.PCS.NumRows, p.PCS.NumCols, len(op.Columns), len(op.Paths.Siblings), rows, cols, nearSquare)
+	if 100*ls > 55*nearSquare {
+		t.Fatalf("proof %d B exceeds 55%% of the near-square independent-path size %d B", ls, nearSquare)
+	}
+}
+
+func TestProofSizeClosedForm(t *testing.T) {
+	for _, gates := range []int{8, 64, 512, 2048} {
+		_, _, _, proof := proofForTest(t, gates)
+		data, err := proof.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		size, err := proof.Size()
+		if err != nil || size != len(data) {
+			t.Fatalf("%d gates: Size() = %d, %v; encoding has %d bytes", gates, size, err, len(data))
+		}
+		if allocs := testing.AllocsPerRun(10, func() { _, _ = proof.Size() }); allocs != 0 {
+			t.Fatalf("%d gates: Size allocates %.0f times", gates, allocs)
+		}
+	}
+	// A column that does not match the declared layout cannot be sized or
+	// serialized.
+	_, _, _, proof := proofForTest(t, 64)
+	bad := *proof
+	pp := *proof.PCSProof
+	pp.Columns = append([][]field.Element{pp.Columns[0][1:]}, pp.Columns[1:]...)
+	bad.PCSProof = &pp
+	if _, err := bad.Size(); err == nil {
+		t.Fatal("sized a proof with a short column")
+	}
+	if _, err := bad.MarshalBinary(); err == nil {
+		t.Fatal("serialized a proof with a short column")
+	}
+}
+
+// allocBytes reports the bytes allocated while f runs.
+func allocBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+func TestDecoderBoundsAllocation(t *testing.T) {
+	// A 48-byte header claiming 2^24 outputs must not make the decoder
+	// allocate the 512 MiB they would occupy before it reads any.
+	header := func(rows, cols, outputs uint32) []byte {
+		b := append([]byte("BZK2"), make([]byte, sha2.Size)...)
+		for _, v := range []uint32{rows, cols, outputs} {
+			b = binary.LittleEndian.AppendUint32(b, v)
+		}
+		return b
+	}
+	crafted := header(1<<12, 1<<12, 1<<24)
+	if len(crafted) != 48 {
+		t.Fatalf("crafted blob has %d bytes", len(crafted))
+	}
+	// Every count of a valid proof, inflated to its maximum and cut off
+	// right after: the proof's own sections must not unlock a large
+	// allocation either.
+	_, _, _, proof := proofForTest(t, 64)
+	data, _ := proof.MarshalBinary()
+	rows, cols := proof.Commitment.NumRows, proof.Commitment.NumCols
+	op := proof.PCSProof
+	countAt := map[string]int{
+		"outputs": 44,
+		"columns": wireBytes(proof) - 4 - len(op.Paths.Siblings)*sha2.Size -
+			len(op.Columns)*(4+rows*field.Bytes) - 4,
+		"siblings": wireBytes(proof) - 4 - len(op.Paths.Siblings)*sha2.Size,
+	}
+	blobs := map[string][]byte{"48-byte header": crafted, "huge layout": header(1<<14, 1<<14, 1)}
+	for name, at := range countAt {
+		b := append([]byte{}, data[:at+4]...)
+		binary.LittleEndian.PutUint32(b[at:], math.MaxUint32)
+		blobs[name+" count maxed"] = b
+	}
+	// The largest counts the layout admits, also cut off after the count.
+	b := append([]byte{}, data[:countAt["columns"]+4]...)
+	binary.LittleEndian.PutUint32(b[countAt["columns"]:], uint32(4*cols))
+	blobs["4·cols columns"] = b
+	for name, blob := range blobs {
+		var back Proof
+		var err error
+		if n := allocBytes(func() { err = back.UnmarshalBinary(blob) }); n >= 1<<20 {
+			t.Fatalf("%s: decoding allocated %d bytes", name, n)
+		}
+		if err == nil {
+			t.Fatalf("%s: decoded", name)
+		}
 	}
 }

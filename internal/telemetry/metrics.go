@@ -161,20 +161,21 @@ func (h *Histogram) Count() int64 {
 }
 
 // Snapshot captures the distribution. Concurrent Observe calls may add
-// observations between field reads; counts are read bucket-first so the
-// snapshot's Count is never larger than the bucket total.
+// observations between field reads. Observe bumps its bucket before the
+// count, so reading the count first keeps the snapshot's Count no larger
+// than the bucket total.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	if h == nil {
 		return HistogramSnapshot{}
 	}
 	var s HistogramSnapshot
+	s.Count = h.count.Load()
 	for i := range h.buckets {
 		if n := h.buckets[i].Load(); n > 0 {
 			lo, hi := bucketBounds(i)
 			s.Buckets = append(s.Buckets, HistogramBucket{Lo: lo, Hi: hi, Count: n})
 		}
 	}
-	s.Count = h.count.Load()
 	s.Sum = h.sum.Load()
 	if s.Count > 0 {
 		s.Min = h.min.Load()

@@ -115,15 +115,26 @@ func (s *Service) ModelRoot() sha2.Digest { return s.modelTree.Root() }
 
 // OpenModelBlocks returns a batched Merkle opening of the requested
 // parameter blocks — the data-availability spot check a customer can run
-// against the commitment without learning the rest of the model.
-func (s *Service) OpenModelBlocks(indices []int) (*merkle.MultiProof, error) {
-	return s.modelTree.ProveMulti(indices)
+// against the commitment without learning the rest of the model — and
+// the opened blocks' leaf digests, aligned to the proof's sorted indices.
+func (s *Service) OpenModelBlocks(indices []int) (*merkle.MultiProof, []sha2.Digest, error) {
+	mp, err := s.modelTree.ProveMulti(indices)
+	if err != nil {
+		return nil, nil, err
+	}
+	leaves := make([]sha2.Digest, len(mp.Indices))
+	for k, i := range mp.Indices {
+		if leaves[k], err = s.modelTree.Leaf(i); err != nil {
+			return nil, nil, err
+		}
+	}
+	return mp, leaves, nil
 }
 
-// VerifyModelBlocks checks a spot-check opening against the commitment
-// the client holds.
-func (c *Client) VerifyModelBlocks(mp *merkle.MultiProof) error {
-	if !merkle.VerifyMulti(c.modelRoot, mp) {
+// VerifyModelBlocks checks a spot-check opening of the given leaf
+// digests against the commitment the client holds.
+func (c *Client) VerifyModelBlocks(mp *merkle.MultiProof, leaves []sha2.Digest) error {
+	if !merkle.VerifyMulti(c.modelRoot, mp, leaves) {
 		return fmt.Errorf("vml: model-block opening does not match the commitment")
 	}
 	return nil

@@ -138,20 +138,20 @@ func TestMLPService(t *testing.T) {
 func TestModelBlockAudit(t *testing.T) {
 	svc := newTinyService(t)
 	client := svc.Client()
-	mp, err := svc.OpenModelBlocks([]int{0, 3, 7})
+	mp, leaves, err := svc.OpenModelBlocks([]int{0, 3, 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := client.VerifyModelBlocks(mp); err != nil {
+	if err := client.VerifyModelBlocks(mp, leaves); err != nil {
 		t.Fatal(err)
 	}
 	// Openings from a different model must not verify.
 	other, _ := NewService(nn.TinyCNN(777), 2)
-	mpOther, _ := other.OpenModelBlocks([]int{0, 3, 7})
-	if err := client.VerifyModelBlocks(mpOther); err == nil {
+	mpOther, leavesOther, _ := other.OpenModelBlocks([]int{0, 3, 7})
+	if err := client.VerifyModelBlocks(mpOther, leavesOther); err == nil {
 		t.Fatal("accepted an opening from a different model")
 	}
-	if _, err := svc.OpenModelBlocks([]int{1 << 30}); err == nil {
+	if _, _, err := svc.OpenModelBlocks([]int{1 << 30}); err == nil {
 		t.Fatal("out-of-range block accepted")
 	}
 }

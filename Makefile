@@ -7,13 +7,18 @@ REPORT_DIR ?= .
 # Per-target budget for the fuzz smoke (see `make fuzz`).
 FUZZTIME ?= 10s
 
-.PHONY: build test race vet bench bench-report bench-sched bench-kernels bench-mem bench-service bench-check roofline fuzz check
+.PHONY: build test test-cpu race vet bench bench-report bench-sched bench-kernels bench-mem bench-service bench-check roofline fuzz check
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# The suite at 1, 2 and 4 cores, each twice: catches tests that depend on
+# the core count or leak process-wide state into a repeat run.
+test-cpu:
+	$(GO) test -cpu 1,2,4 -count=2 ./...
 
 # Exercise the concurrency-sensitive layers (batch prover stage workers,
 # pipelined module schedules, fault injector, telemetry registry/tracer)

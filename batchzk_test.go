@@ -127,6 +127,9 @@ func TestPublicAPIModules(t *testing.T) {
 	if _, _, err := ProveSum("t", RandVector(3)); err == nil {
 		t.Fatal("non-power-of-two table accepted")
 	}
+	if _, _, err := ProveSum("t", RandVector(1)); err == nil {
+		t.Fatal("one-entry table accepted")
+	}
 	rs := RandVector(6)
 	results, err := BatchProveSums([][]Element{RandVector(64)}, func(_, round int, _, _ Element) Element {
 		return rs[round]

@@ -21,8 +21,8 @@ import (
 )
 
 // Kernels bench report: serial-vs-parallel timings of every hot kernel
-// that runs on the par runtime (Merkle build, Spielman encode, sum-check
-// prove, NTT, PCS commit, batch inversion), each with a bit-identity
+// that runs on the par runtime (Merkle build, Spielman encode, the
+// sum-check kernel at degrees 1–3, NTT, PCS commit, batch inversion), each with a bit-identity
 // check between the two runs, plus the field-arith section (schema v2)
 // pinning the ALU-floor microkernels against their generic references.
 // Serialized as BENCH_kernels.json with the same "kind" discriminator
@@ -119,6 +119,37 @@ func kernelCases(shift int, seed int64) ([]kernelCase, error) {
 	pcsParams := pcs.NewParams(shift)
 	pcsParams.NumOpenings = 16
 	pcsVals := randVec(n)
+	// Drawn last so the other kernels' inputs stay as they were.
+	scB, scC := randVec(n), randVec(n)
+	var scClaim, t field.Element
+	for i := range scTable {
+		t.Mul(&scTable[i], &scB[i])
+		scClaim.Add(&scClaim, &t)
+		scClaim.Add(&scClaim, &scC[i])
+	}
+	// sumcheckCase runs one sum-check instance over fresh multilinears of
+	// the first k tables and fingerprints its round messages.
+	sumcheckCase := func(name string, k int, prove func(ms []*poly.Multilinear) (*sumcheck.Proof, error)) kernelCase {
+		return kernelCase{name: name, size: n, run: func() (sha2.Digest, error) {
+			ms := make([]*poly.Multilinear, k)
+			for j, tb := range [][]field.Element{scTable, scB, scC}[:k] {
+				m, err := poly.NewMultilinear(tb)
+				if err != nil {
+					return sha2.Digest{}, err
+				}
+				ms[j] = m
+			}
+			proof, err := prove(ms)
+			if err != nil {
+				return sha2.Digest{}, err
+			}
+			var flat []field.Element
+			for _, rd := range proof.Rounds {
+				flat = append(flat, rd.Evals...)
+			}
+			return elementsFP(flat), nil
+		}}
+	}
 
 	return []kernelCase{
 		{name: "merkle/build", size: n, run: func() (sha2.Digest, error) {
@@ -135,18 +166,22 @@ func kernelCases(shift int, seed int64) ([]kernelCase, error) {
 			}
 			return elementsFP(cw), nil
 		}},
-		{name: "sumcheck/prove", size: n, run: func() (sha2.Digest, error) {
-			m, err := poly.NewMultilinear(scTable)
-			if err != nil {
-				return sha2.Digest{}, err
-			}
-			proof, _, _ := sumcheck.Prove(m, transcript.New("bench/kernels"))
-			flat := make([]field.Element, 0, 2*len(proof.Rounds))
-			for _, rd := range proof.Rounds {
-				flat = append(flat, rd.P1, rd.P2)
-			}
-			return elementsFP(flat), nil
-		}},
+		sumcheckCase("sumcheck/prove", 1, func(ms []*poly.Multilinear) (*sumcheck.Proof, error) {
+			proof, _, _ := sumcheck.Prove(ms[0], transcript.New("bench/kernels"))
+			return proof, nil
+		}),
+		sumcheckCase("sumcheck/product", 2, func(ms []*poly.Multilinear) (*sumcheck.Proof, error) {
+			proof, _, _, _, err := sumcheck.ProveProduct(ms[0], ms[1], transcript.New("bench/kernels"))
+			return proof, err
+		}),
+		sumcheckCase("sumcheck/affine", 3, func(ms []*poly.Multilinear) (*sumcheck.Proof, error) {
+			proof, _, _, err := sumcheck.ProveAffineProduct(ms[0], ms[1], ms[2], scClaim, transcript.New("bench/kernels"))
+			return proof, err
+		}),
+		sumcheckCase("sumcheck/triple", 3, func(ms []*poly.Multilinear) (*sumcheck.Proof, error) {
+			proof, _, _, _, err := sumcheck.ProveTriple(ms[0], ms[1], ms[2], transcript.New("bench/kernels"))
+			return proof, err
+		}),
 		{name: "ntt/forward", size: n, run: func() (sha2.Digest, error) {
 			a := append([]field.Element(nil), nttVec...)
 			if err := ntt.Forward(a); err != nil {

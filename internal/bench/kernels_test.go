@@ -6,6 +6,32 @@ import (
 	"testing"
 )
 
+// TestKernelsReportSumcheckDegreeSweep checks that the report times the
+// sum-check kernel at every instance degree, and that each instance's
+// parallel proof is bit-identical to its serial one. 2^12 is the
+// smallest size whose first round splits into chunks at width 2.
+func TestKernelsReportSumcheckDegreeSweep(t *testing.T) {
+	rep, err := BuildKernelsReport(12, 1, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, k := range rep.Kernels {
+		if !strings.HasPrefix(k.Name, "sumcheck/") {
+			continue
+		}
+		seen[k.Name] = true
+		if !k.Identical {
+			t.Errorf("%s: parallel proof differs from serial", k.Name)
+		}
+	}
+	for _, name := range []string{"sumcheck/prove", "sumcheck/product", "sumcheck/affine", "sumcheck/triple"} {
+		if !seen[name] {
+			t.Errorf("%s missing from the kernels report", name)
+		}
+	}
+}
+
 func TestKernelsReportBuildAndRoundTrip(t *testing.T) {
 	rep, err := BuildKernelsReport(6, 1, 0, 1)
 	if err != nil {
@@ -14,8 +40,8 @@ func TestKernelsReportBuildAndRoundTrip(t *testing.T) {
 	if rep.Kind != KernelsReportKind || rep.SchemaVersion != KernelsSchemaVersion {
 		t.Fatalf("bad header: kind=%q v%d", rep.Kind, rep.SchemaVersion)
 	}
-	if len(rep.Kernels) != 6 {
-		t.Fatalf("%d kernels measured, want 6", len(rep.Kernels))
+	if len(rep.Kernels) != 9 {
+		t.Fatalf("%d kernels measured, want 9", len(rep.Kernels))
 	}
 	for _, k := range rep.Kernels {
 		if !k.Identical {

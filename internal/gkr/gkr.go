@@ -124,8 +124,8 @@ func (c *Circuit) Evaluate(input []field.Element) ([][]field.Element, error) {
 // LayerProof is the two-phase sum-check transcript of one layer
 // reduction plus the two carried claims.
 type LayerProof struct {
-	Phase1 *sumcheck.ProductProof
-	Phase2 *sumcheck.ProductProof
+	Phase1 *sumcheck.Proof
+	Phase2 *sumcheck.Proof
 	VU, VV field.Element // claimed Ṽ_{i+1}(u), Ṽ_{i+1}(v)
 }
 

@@ -166,12 +166,12 @@ func TestRejectTamperedProof(t *testing.T) {
 		t.Fatal("tampered VV accepted")
 	}
 	if err := mutate(func(p *Proof) {
-		p.Layers[2].Phase1.Rounds[0].At2.Add(&p.Layers[2].Phase1.Rounds[0].At2, &one)
+		p.Layers[2].Phase1.Rounds[0].Evals[2].Add(&p.Layers[2].Phase1.Rounds[0].Evals[2], &one)
 	}); err == nil {
 		t.Fatal("tampered phase-1 round accepted")
 	}
 	if err := mutate(func(p *Proof) {
-		p.Layers[0].Phase2.Rounds[1].At0.Add(&p.Layers[0].Phase2.Rounds[1].At0, &one)
+		p.Layers[0].Phase2.Rounds[1].Evals[0].Add(&p.Layers[0].Phase2.Rounds[1].Evals[0], &one)
 	}); err == nil {
 		t.Fatal("tampered phase-2 round accepted")
 	}

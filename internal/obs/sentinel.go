@@ -79,7 +79,12 @@ type SentinelConfig struct {
 	// arithmetic lower bounds, so honest measurements sit a few × above).
 	FloorFactor float64
 	// MinSamples is the EWMA warm-up: no baseline judgment before this
-	// many observations of a stream (default 8).
+	// many observations of a stream (default 32). A stage's wall time
+	// depends on what shares the cores: stages overlap differently while
+	// a batch prover's pipeline fills and drains, and other processes on
+	// the host can stretch a few consecutive stage runs 3–13× for some
+	// milliseconds. A baseline learned from one short batch reads such a
+	// burst as a regression.
 	MinSamples int
 	// RaiseAfter is how many consecutive breaches raise an alert
 	// (default 3); ClearAfter is how many consecutive healthy
@@ -101,7 +106,7 @@ func (c SentinelConfig) withDefaults() SentinelConfig {
 		c.FloorFactor = 8
 	}
 	if c.MinSamples < 1 {
-		c.MinSamples = 8
+		c.MinSamples = 32
 	}
 	if c.RaiseAfter < 1 {
 		c.RaiseAfter = 3

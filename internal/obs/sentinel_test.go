@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -48,6 +49,34 @@ func TestSentinelRaisesAfterConsecutiveBreaches(t *testing.T) {
 	}
 	if len(s.ActiveAlerts()) != 1 {
 		t.Fatal("continued breach duplicated the alert")
+	}
+}
+
+// TestSentinelDefaultWarmupCoversCleanBatch feeds, under the default
+// config, stage-latency streams (µs) recorded from clean 16-job batches
+// whose later stage runs were stretched by other processes on the host:
+// ten settled samples, then three consecutive runs 3–13× slower. None
+// is a regression. A sustained slowdown after the warm-up still raises.
+func TestSentinelDefaultWarmupCoversCleanBatch(t *testing.T) {
+	streams := [][]float64{
+		{421, 396, 449, 351, 365, 805, 749, 339, 343, 336, 1510, 1606, 5748},
+		{705, 1370, 2706, 578, 545, 460, 520, 532, 515, 596, 3070, 3611, 1971},
+	}
+	s := NewSentinel(SentinelConfig{})
+	for i, stream := range streams {
+		for j, v := range stream {
+			if a := s.Observe(AlertStageRegression, fmt.Sprintf("stage/%d", i), v*1000, int64(j)); a != nil {
+				t.Fatalf("clean stream %d raised at sample %d: %+v", i, j, a)
+			}
+		}
+	}
+	feedHealthy(s, AlertStageRegression, "stage/slow", 400e3, 32)
+	var raised *Alert
+	for i := 0; i < 3; i++ {
+		raised = s.Observe(AlertStageRegression, "stage/slow", 1600e3, int64(100+i))
+	}
+	if raised == nil {
+		t.Fatal("sustained 4x slowdown after the warm-up did not raise")
 	}
 }
 

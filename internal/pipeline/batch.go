@@ -211,7 +211,7 @@ func BatchSumcheck(tables [][]field.Element, challenge SumcheckChallenge) ([]Sum
 	}
 	results := make([]SumcheckResult, len(tables))
 	for t := range results {
-		results[t].Proof = &sumcheck.Proof{Rounds: make([]sumcheck.RoundPair, nVars)}
+		results[t].Proof = &sumcheck.Proof{Rounds: make([]sumcheck.Round, nVars)}
 	}
 
 	err := runSchedule("sumcheck", len(tables), nVars, func(_, stage, task int) error {
@@ -230,7 +230,7 @@ func BatchSumcheck(tables [][]field.Element, challenge SumcheckChallenge) ([]Sum
 			p1.Add(&p1, &src[b])
 			p2.Add(&p2, &src[b+half])
 		}
-		results[task].Proof.Rounds[stage] = sumcheck.RoundPair{P1: p1, P2: p2}
+		results[task].Proof.Rounds[stage] = sumcheck.Round{Evals: []field.Element{p1, p2}}
 		r := challenge(task, stage, p1, p2)
 		for b := 0; b < half; b++ {
 			dst[b].Lerp(&r, &src[b], &src[b+half])

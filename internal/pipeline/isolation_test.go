@@ -90,7 +90,7 @@ func TestSumcheckPanicIsolated(t *testing.T) {
 			continue
 		}
 		for r := range clean[i].Proof.Rounds {
-			if results[i].Proof.Rounds[r] != clean[i].Proof.Rounds[r] {
+			if !field.VectorEqual(results[i].Proof.Rounds[r].Evals, clean[i].Proof.Rounds[r].Evals) {
 				t.Fatalf("task %d round %d corrupted by neighbor's panic", i, r)
 			}
 		}

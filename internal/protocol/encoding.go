@@ -25,7 +25,8 @@ import (
 //
 // Integers are little-endian uint32; field elements are 32-byte canonical
 // big-endian; digests are 32 bytes. Outputs, rounds and the two rows are
-// length-prefixed. The opened columns are not: each is rows values tall,
+// length-prefixed; a round is its round polynomial's evaluations at
+// 0..d, 4 elements for the Hadamard check and 3 for the linear check. The opened columns are not: each is rows values tall,
 // as the commitment declares, and they share one Merkle multiproof whose
 // leaves the verifier recomputes from the values. The columns still
 // dominate the proof — this protocol family's proofs "reach several MB"
@@ -48,6 +49,11 @@ const (
 	// readChunk is how many items a decoded slice may be allocated ahead
 	// of the items actually read.
 	readChunk = 1 << 12
+	// hadamardDegree and linearDegree are the round-polynomial degrees of
+	// the two sum-checks, e·f·g and f·g; each round carries degree+1
+	// evaluations.
+	hadamardDegree = 3
+	linearDegree   = 2
 )
 
 type encoder struct {
@@ -79,6 +85,15 @@ func (e *encoder) elem(x *field.Element) {
 func (e *encoder) elems(xs []field.Element) {
 	for i := range xs {
 		e.elem(&xs[i])
+	}
+}
+
+// rounds writes a sum-check proof: its round count, then each round's
+// evaluations, which wireShape has checked are degree+1 long.
+func (e *encoder) rounds(p *sumcheck.Proof) {
+	e.u32(len(p.Rounds))
+	for _, rd := range p.Rounds {
+		e.elems(rd.Evals)
 	}
 }
 
@@ -158,6 +173,13 @@ func readN[T any](d *decoder, n int, one func(*T)) []T {
 	return out
 }
 
+// rounds reads n sum-check rounds of degree+1 evaluations each.
+func (d *decoder) rounds(n, degree int) *sumcheck.Proof {
+	return &sumcheck.Proof{Rounds: readN(d, n, func(rd *sumcheck.Round) {
+		rd.Evals = readN(d, degree+1, d.elem)
+	})}
+}
+
 // errIncomplete is returned when a proof lacks a component or does not
 // match the shape its commitment declares.
 var errIncomplete = errors.New("protocol: cannot serialize incomplete or misshapen proof")
@@ -168,6 +190,12 @@ var errIncomplete = errors.New("protocol: cannot serialize incomplete or misshap
 func (p *Proof) wireShape() error {
 	if p.Hadamard == nil || p.Linear == nil || p.PCSProof == nil {
 		return errIncomplete
+	}
+	if err := p.Hadamard.Check(hadamardDegree); err != nil {
+		return fmt.Errorf("%w: hadamard: %v", errIncomplete, err)
+	}
+	if err := p.Linear.Check(linearDegree); err != nil {
+		return fmt.Errorf("%w: linear: %v", errIncomplete, err)
 	}
 	op := p.PCSProof
 	if len(op.TestRow) != p.Commitment.NumCols || len(op.CombinedRow) != p.Commitment.NumCols ||
@@ -198,19 +226,10 @@ func (p *Proof) WriteTo(w io.Writer) (int64, error) {
 	e.u32(len(p.Outputs))
 	e.elems(p.Outputs)
 	e.elem(&p.OTau)
-	e.u32(len(p.Hadamard.Rounds))
-	for i := range p.Hadamard.Rounds {
-		e.elems(p.Hadamard.Rounds[i].At[:])
-	}
+	e.rounds(p.Hadamard)
 	e.elem(&p.LRho)
 	e.elem(&p.RRho)
-	e.u32(len(p.Linear.Rounds))
-	for i := range p.Linear.Rounds {
-		rd := &p.Linear.Rounds[i]
-		e.elem(&rd.At0)
-		e.elem(&rd.At1)
-		e.elem(&rd.At2)
-	}
+	e.rounds(p.Linear)
 	e.elem(&p.WSigma)
 	op := p.PCSProof
 	for _, row := range [][]field.Element{op.TestRow, op.CombinedRow} {
@@ -250,21 +269,11 @@ func (p *Proof) ReadFrom(r io.Reader) (int64, error) {
 	}
 	p.Outputs = readN(d, d.count("output", 0, rows*cols), d.elem)
 	d.elem(&p.OTau)
-	p.Hadamard = &sumcheck.TripleProof{Rounds: readN(d, d.count("hadamard round", 0, maxRounds),
-		func(rd *sumcheck.TripleRound) {
-			for j := range rd.At {
-				d.elem(&rd.At[j])
-			}
-		})}
+	p.Hadamard = d.rounds(d.count("hadamard round", 1, maxRounds), hadamardDegree)
 	d.elem(&p.LRho)
 	d.elem(&p.RRho)
 	numVars := bits.TrailingZeros(uint(rows * cols))
-	p.Linear = &sumcheck.ProductProof{Rounds: readN(d, d.count("linear round", numVars, numVars),
-		func(rd *sumcheck.ProductRound) {
-			d.elem(&rd.At0)
-			d.elem(&rd.At1)
-			d.elem(&rd.At2)
-		})}
+	p.Linear = d.rounds(d.count("linear round", numVars, numVars), linearDegree)
 	d.elem(&p.WSigma)
 
 	op := &pcs.EvalProof{}
@@ -322,8 +331,8 @@ func (p *Proof) Size() (int, error) {
 	const u32 = 4
 	n := len(proofMagic) + sha2.Size + 2*u32 + // commitment
 		u32 + len(p.Outputs)*field.Bytes + field.Bytes + // outputs, o_tau
-		u32 + len(p.Hadamard.Rounds)*len(sumcheck.TripleRound{}.At)*field.Bytes + 2*field.Bytes + // hadamard, l_rho, r_rho
-		u32 + len(p.Linear.Rounds)*3*field.Bytes + field.Bytes // linear, w_sigma
+		u32 + len(p.Hadamard.Rounds)*(hadamardDegree+1)*field.Bytes + 2*field.Bytes + // hadamard, l_rho, r_rho
+		u32 + len(p.Linear.Rounds)*(linearDegree+1)*field.Bytes + field.Bytes // linear, w_sigma
 	op := p.PCSProof
 	return n + pcs.OpeningBytes(p.Commitment.NumRows, p.Commitment.NumCols, len(op.Columns), len(op.Paths.Siblings)), nil
 }

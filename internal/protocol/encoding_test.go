@@ -3,6 +3,7 @@ package protocol
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
 	"math/bits"
 	"math/rand"
@@ -14,6 +15,7 @@ import (
 	"batchzk/internal/field"
 	"batchzk/internal/pcs"
 	"batchzk/internal/sha2"
+	"batchzk/internal/sumcheck"
 )
 
 func proofForTest(t testing.TB, gates int) (*circuit.Circuit, *Params, []field.Element, *Proof) {
@@ -204,6 +206,51 @@ func TestProofSizeClosedForm(t *testing.T) {
 	}
 	if _, err := bad.MarshalBinary(); err == nil {
 		t.Fatal("serialized a proof with a short column")
+	}
+}
+
+// TestEncodeRejectsMalformedRounds: Size, WriteTo and MarshalBinary
+// reject a sum-check section with no rounds or a round whose evaluation
+// count is not its degree + 1 (4 for the Hadamard check, 3 for the
+// linear check), and Verify rejects the same proofs; none of them may
+// index out of range.
+func TestEncodeRejectsMalformedRounds(t *testing.T) {
+	c, p, public, proof := proofForTest(t, 64)
+	clone := func(sp *sumcheck.Proof) *sumcheck.Proof {
+		out := &sumcheck.Proof{Rounds: make([]sumcheck.Round, len(sp.Rounds))}
+		for i, rd := range sp.Rounds {
+			out.Rounds[i].Evals = append([]field.Element(nil), rd.Evals...)
+		}
+		return out
+	}
+	cases := []struct {
+		name string
+		mut  func(*Proof)
+	}{
+		{"hadamard round short", func(pr *Proof) { pr.Hadamard.Rounds[0].Evals = pr.Hadamard.Rounds[0].Evals[:3] }},
+		{"hadamard round long", func(pr *Proof) { pr.Hadamard.Rounds[1].Evals = append(pr.Hadamard.Rounds[1].Evals, field.One()) }},
+		{"hadamard without rounds", func(pr *Proof) { pr.Hadamard.Rounds = nil }},
+		{"linear round short", func(pr *Proof) { pr.Linear.Rounds[2].Evals = pr.Linear.Rounds[2].Evals[:2] }},
+		{"linear round without evaluations", func(pr *Proof) { pr.Linear.Rounds[0].Evals = nil }},
+		{"linear without rounds", func(pr *Proof) { pr.Linear.Rounds = pr.Linear.Rounds[:0] }},
+	}
+	for _, tc := range cases {
+		bad := *proof
+		bad.Hadamard, bad.Linear = clone(proof.Hadamard), clone(proof.Linear)
+		tc.mut(&bad)
+		if _, err := bad.Size(); !errors.Is(err, errIncomplete) {
+			t.Errorf("%s: Size err = %v", tc.name, err)
+		}
+		var buf bytes.Buffer
+		if n, err := bad.WriteTo(&buf); !errors.Is(err, errIncomplete) || n != 0 {
+			t.Errorf("%s: WriteTo wrote %d bytes, err = %v", tc.name, n, err)
+		}
+		if _, err := bad.MarshalBinary(); err == nil {
+			t.Errorf("%s: MarshalBinary accepted the proof", tc.name)
+		}
+		if err := Verify(c, p, public, &bad); err == nil {
+			t.Errorf("%s: Verify accepted the proof", tc.name)
+		}
 	}
 }
 

@@ -92,11 +92,11 @@ type Proof struct {
 	Outputs    []field.Element // claimed circuit outputs
 
 	OTau     field.Element // claimed Õ(τ)
-	Hadamard *sumcheck.TripleProof
+	Hadamard *sumcheck.Proof
 	LRho     field.Element // claimed L(ρ)
 	RRho     field.Element // claimed R(ρ)
 
-	Linear   *sumcheck.ProductProof
+	Linear   *sumcheck.Proof
 	WSigma   field.Element // claimed W(σ)
 	PCSProof *pcs.EvalProof
 }

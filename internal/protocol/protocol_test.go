@@ -124,12 +124,12 @@ func TestRejectTamperedProofParts(t *testing.T) {
 		t.Fatal("tampered commitment accepted")
 	}
 	if err := mut(func(pr *Proof) {
-		pr.Hadamard.Rounds[0].At[2].Add(&pr.Hadamard.Rounds[0].At[2], &one)
+		pr.Hadamard.Rounds[0].Evals[2].Add(&pr.Hadamard.Rounds[0].Evals[2], &one)
 	}); err == nil {
 		t.Fatal("tampered Hadamard round accepted")
 	}
 	if err := mut(func(pr *Proof) {
-		pr.Linear.Rounds[1].At1.Add(&pr.Linear.Rounds[1].At1, &one)
+		pr.Linear.Rounds[1].Evals[1].Add(&pr.Linear.Rounds[1].Evals[1], &one)
 	}); err == nil {
 		t.Fatal("tampered linear round accepted")
 	}

@@ -273,17 +273,20 @@ func (g *Gateway) handleProof(w http.ResponseWriter, r *http.Request) {
 
 // handleStream serves terminal events as NDJSON until the client goes
 // away. Slow clients miss events (the gateway never stalls the prover
-// for a reader); the poll endpoint stays authoritative.
+// for a reader); the poll endpoint stays authoritative. It subscribes
+// before it sends the header: a client may submit jobs as soon as its
+// request returns, and their events must not be published before the
+// stream is listening.
 func (g *Gateway) handleStream(w http.ResponseWriter, r *http.Request) {
 	tenant := r.URL.Query().Get("tenant")
+	events, cancel := g.Subscribe()
+	defer cancel()
 	flusher, _ := w.(http.Flusher)
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	if flusher != nil {
 		flusher.Flush()
 	}
-	events, cancel := g.Subscribe()
-	defer cancel()
 	enc := json.NewEncoder(w)
 	for {
 		select {

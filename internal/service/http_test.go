@@ -3,6 +3,7 @@ package service
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
@@ -319,6 +320,67 @@ func TestHTTPStream(t *testing.T) {
 		if seen[id] != 1 {
 			t.Errorf("job %s: %d stream events, want 1", id, seen[id])
 		}
+	}
+}
+
+// flushHookWriter is a ResponseWriter whose first Flush runs onFlush —
+// the moment a client's GET returns — and which calls onWrite after each
+// body write.
+type flushHookWriter struct {
+	*httptest.ResponseRecorder
+	onFlush, onWrite func()
+	flushed          bool
+}
+
+func (w *flushHookWriter) Flush() {
+	if !w.flushed {
+		w.flushed = true
+		w.onFlush()
+	}
+	w.ResponseRecorder.Flush()
+}
+
+func (w *flushHookWriter) Write(b []byte) (int, error) {
+	n, err := w.ResponseRecorder.Write(b)
+	w.onWrite()
+	return n, err
+}
+
+// TestHTTPStreamSubscribesBeforeHeader: a job submitted as soon as the
+// stream's response header arrives, and finished before the handler
+// takes another step, must still reach the stream.
+func TestHTTPStreamSubscribesBeforeHeader(t *testing.T) {
+	_, gw := newTestServer(t, Config{MaxBatch: 1, MaxWait: time.Millisecond})
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	var id string
+	w := &flushHookWriter{ResponseRecorder: httptest.NewRecorder(), onWrite: cancel}
+	w.onFlush = func() {
+		events, stop := gw.Subscribe()
+		defer stop()
+		info, err := gw.Submit("acme", 0, field.RandVector(2), field.RandVector(2), 0)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		id = info.ID
+		for {
+			select {
+			case ev := <-events:
+				if ev.JobID == id {
+					return // published to every subscriber by now
+				}
+			case <-ctx.Done():
+				t.Error("job did not finish")
+				return
+			}
+		}
+	}
+	req := httptest.NewRequest(http.MethodGet, "/v1/stream", nil).WithContext(ctx)
+	gw.handleStream(w, req)
+	var ev Event
+	if err := json.NewDecoder(w.Body).Decode(&ev); err != nil || ev.JobID != id {
+		t.Fatalf("stream delivered %+v (%v), want the event of job %s", ev, err, id)
 	}
 }
 

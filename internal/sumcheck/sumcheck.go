@@ -2,246 +2,161 @@
 // paper), the module the paper's evaluation identifies as the dominant cost
 // of modern ZKP protocols.
 //
-// The prover follows Algorithm 1 of the paper (Vu et al. [55]): a table A
-// of 2^n evaluations is folded over n rounds; round i emits the pair
-// (π_i1, π_i2) = (Σ_b A[b], Σ_b A[b+2^{n-i}]) and then updates
-// A[b] ← (1−r_i)·A[b] + r_i·A[b+2^{n-i}] with the round challenge r_i.
-// Challenges come from a Fiat–Shamir transcript, so the protocol here is
-// non-interactive; ProveWithChallenges exposes the interactive core with
-// caller-supplied randomness (the form the pipelined GPU module uses, where
-// the system derives randomness from Merkle roots, §4).
-//
-// A degree-2 variant (ProveProduct/VerifyProduct) handles claims of the
-// form H = Σ_b f(b)·g(b), which the polynomial commitment uses for
-// evaluation proofs.
+// One kernel proves every claim H = Σ_b g(t_0(b), …, t_{k-1}(b)) over the
+// Boolean hypercube, where the t_j are multilinear tables and the gate g is
+// a sum of products of them (zkPHIRE's programmable high-degree gate). The
+// prover is Algorithm 1 of the paper (Vu et al. [55]) over k tables: round
+// i sends the degree-d round polynomial as its evaluations at 0..d, then
+// folds every table, A[b] ← (1−r_i)·A[b] + r_i·A[b+2^{n-i}]. One verifier
+// checks any gate's proof. The named instances are the gates the system
+// sums: Prove (p, Algorithm 1 itself), ProveProduct (f·g, the linear
+// check), ProveAffineProduct (a·v + c, a GKR layer phase) and ProveTriple
+// (e·f·g, the Hadamard check). Challenges come from a Fiat–Shamir
+// transcript; ProveWithChallenges takes caller-supplied randomness (as the
+// pipelined GPU module does, deriving it from Merkle roots, §4).
 package sumcheck
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"batchzk/internal/field"
-	"batchzk/internal/par"
 	"batchzk/internal/poly"
 	"batchzk/internal/transcript"
 )
 
-// RoundPair is the message of one sum-check round for a multilinear
-// polynomial: the two half-table sums (π_i1, π_i2) of Algorithm 1.
-type RoundPair struct {
-	P1, P2 field.Element
+// Round is one round's message: the round polynomial's evaluations at 0..d.
+type Round struct {
+	Evals []field.Element
 }
 
-// Proof is a complete sum-check proof: one RoundPair per variable.
+// Proof is a complete sum-check proof: one Round per variable.
 type Proof struct {
-	Rounds []RoundPair
+	Rounds []Round
 }
 
 // NumRounds returns the number of rounds (= number of variables).
 func (p *Proof) NumRounds() int { return len(p.Rounds) }
 
-// Prove runs the non-interactive sum-check prover for the multilinear
-// polynomial m, drawing challenges from tr. It returns the proof, the
-// challenge point in x_1..x_n order (ready for Multilinear.Evaluate), and
-// the claimed hypercube sum.
-//
-// Algorithm 1 fixes the *highest-order* variable first, so the challenge
-// drawn in round i binds x_{n+1-i}; the returned point is reversed into
-// ascending variable order.
-func Prove(m *poly.Multilinear, tr *transcript.Transcript) (*Proof, []field.Element, field.Element) {
-	n := m.NumVars()
-	sum := m.HypercubeSum()
-	tr.AppendUint64("sumcheck/n", uint64(n))
-	tr.AppendElement("sumcheck/claim", &sum)
-
-	table := append([]field.Element(nil), m.Evals()...)
-	proof := &Proof{Rounds: make([]RoundPair, n)}
-	challenges := make([]field.Element, n) // round order: binds x_n first
-	s := par.GetScratch()
-	defer par.PutScratch(s)
-	for i := 0; i < n; i++ {
-		p1, p2 := halfSums(s, table)
-		proof.Rounds[i] = RoundPair{P1: p1, P2: p2}
-		tr.AppendElement("sumcheck/p1", &p1)
-		tr.AppendElement("sumcheck/p2", &p2)
-		r := tr.ChallengeElement("sumcheck/r")
-		challenges[i] = r
-		foldTables(&r, table)
-		table = table[:len(table)/2]
-	}
-	return proof, reversed(challenges), sum
-}
-
-// ProveWithChallenges runs the interactive prover core of Algorithm 1 with
-// caller-supplied round randomness (round order: rs[0] binds x_n). It
-// returns the proof and the final folded value p(point).
-func ProveWithChallenges(m *poly.Multilinear, rs []field.Element) (*Proof, field.Element, error) {
-	n := m.NumVars()
-	if len(rs) != n {
-		return nil, field.Element{}, fmt.Errorf("sumcheck: %d challenges for %d variables", len(rs), n)
-	}
-	table := append([]field.Element(nil), m.Evals()...)
-	proof := &Proof{Rounds: make([]RoundPair, n)}
-	s := par.GetScratch()
-	defer par.PutScratch(s)
-	for i := 0; i < n; i++ {
-		p1, p2 := halfSums(s, table)
-		proof.Rounds[i] = RoundPair{P1: p1, P2: p2}
-		foldTables(&rs[i], table)
-		table = table[:len(table)/2]
-	}
-	return proof, table[0], nil
-}
-
 // ErrReject is returned when a proof fails verification.
 var ErrReject = errors.New("sumcheck: proof rejected")
 
-// Verify checks a sum-check proof against a claimed sum. It re-derives the
-// challenges from an identically initialized transcript, and returns the
-// challenge point (x_1..x_n order) together with the final claimed
-// evaluation p(point), which the caller must check against the polynomial
-// (directly, or via a polynomial-commitment opening).
-func Verify(claim field.Element, proof *Proof, tr *transcript.Transcript) ([]field.Element, field.Element, error) {
-	n := proof.NumRounds()
-	if n == 0 {
-		return nil, field.Element{}, fmt.Errorf("sumcheck: empty proof")
+// Check reports an error unless p has at least one round and every round
+// carries degree+1 evaluations.
+func (p *Proof) Check(degree int) error {
+	if p == nil || len(p.Rounds) == 0 {
+		return fmt.Errorf("%w: empty proof", ErrReject)
 	}
-	tr.AppendUint64("sumcheck/n", uint64(n))
-	tr.AppendElement("sumcheck/claim", &claim)
-
-	expected := claim
-	challenges := make([]field.Element, n)
-	for i := 0; i < n; i++ {
-		rd := proof.Rounds[i]
-		var sum field.Element
-		sum.Add(&rd.P1, &rd.P2)
-		if !sum.Equal(&expected) {
-			return nil, field.Element{}, fmt.Errorf("%w: round %d sum mismatch", ErrReject, i)
+	for i, rd := range p.Rounds {
+		if len(rd.Evals) != degree+1 {
+			return fmt.Errorf("%w: round %d has %d evaluations, want %d", ErrReject, i, len(rd.Evals), degree+1)
 		}
-		tr.AppendElement("sumcheck/p1", &rd.P1)
-		tr.AppendElement("sumcheck/p2", &rd.P2)
-		r := tr.ChallengeElement("sumcheck/r")
-		challenges[i] = r
-		// Round polynomial is linear: g(r) = (1-r)·π1 + r·π2.
-		expected.Lerp(&r, &rd.P1, &rd.P2)
 	}
-	return reversed(challenges), expected, nil
+	return nil
 }
 
-// VerifyChallenges replays the verifier checks of a proof produced by
-// ProveWithChallenges under known randomness, returning the final claimed
-// evaluation.
-func VerifyChallenges(claim field.Element, proof *Proof, rs []field.Element) (field.Element, error) {
-	if len(rs) != proof.NumRounds() {
-		return field.Element{}, fmt.Errorf("sumcheck: %d challenges for %d rounds", len(rs), proof.NumRounds())
-	}
-	expected := claim
-	for i, rd := range proof.Rounds {
-		var sum field.Element
-		sum.Add(&rd.P1, &rd.P2)
-		if !sum.Equal(&expected) {
-			return field.Element{}, fmt.Errorf("%w: round %d sum mismatch", ErrReject, i)
-		}
-		expected.Lerp(&rs[i], &rd.P1, &rd.P2)
-	}
-	return expected, nil
+// instance is one named sum-check: its gate and its transcript label.
+type instance struct {
+	g     gate
+	label string
 }
 
-// ProductRound is the message of one round of the degree-2 product
-// sum-check: the round polynomial's evaluations at 0, 1, 2.
-type ProductRound struct {
-	At0, At1, At2 field.Element
-}
+var (
+	plain   = instance{gate{{0}}, "sumcheck"}
+	product = instance{gate{{0, 1}}, "sumcheck2"}
+	affine  = instance{gate{{0, 1}, {2}}, "sumcheckA"}
+	triple  = instance{gate{{0, 1, 2}}, "sumcheck3"}
+)
 
-// ProductProof proves H = Σ_b f(b)·g(b) for multilinear f, g.
-type ProductProof struct {
-	Rounds []ProductRound
-}
-
-// ProveProduct runs the degree-2 sum-check prover for Σ f·g. It returns
-// the proof, the challenge point (x_1..x_n order), the claimed sum, and the
-// final evaluations f(point), g(point) the verifier needs to check
-// externally.
-func ProveProduct(f, g *poly.Multilinear, tr *transcript.Transcript) (*ProductProof, []field.Element, field.Element, [2]field.Element, error) {
-	n := f.NumVars()
-	if g.NumVars() != n {
-		return nil, nil, field.Element{}, [2]field.Element{}, fmt.Errorf("sumcheck: arity mismatch %d vs %d", n, g.NumVars())
+// verify checks each round's values at 0 and 1 against the running claim,
+// which becomes the round polynomial's value at the challenge. It returns
+// the point (x_1..x_n order) and the final claim, the gate's value there.
+func (in instance) verify(claim field.Element, proof *Proof, src source) ([]field.Element, field.Element, error) {
+	if err := proof.Check(in.g.degree()); err != nil {
+		return nil, field.Element{}, err
 	}
-	ft := append([]field.Element(nil), f.Evals()...)
-	gt := append([]field.Element(nil), g.Evals()...)
-
-	claim := field.InnerProduct(ft, gt)
-	tr.AppendUint64("sumcheck2/n", uint64(n))
-	tr.AppendElement("sumcheck2/claim", &claim)
-
-	proof := &ProductProof{Rounds: make([]ProductRound, n)}
-	challenges := make([]field.Element, n)
-	two := field.NewElement(2)
-	s := par.GetScratch()
-	defer par.PutScratch(s)
-	for i := 0; i < n; i++ {
-		half := len(ft) / 2
-		var sums [3]field.Element
-		reduceSums(s, half, 3, sums[:], func(lo, hi int, acc []field.Element) {
-			var at0, at1, at2 field.Element
-			var t, f2, g2 field.Element
-			for b := lo; b < hi; b++ {
-				// g_i(0): x fixed to 0 keeps the low half.
-				t.Mul(&ft[b], &gt[b])
-				at0.Add(&at0, &t)
-				// g_i(1): x fixed to 1 keeps the high half.
-				t.Mul(&ft[b+half], &gt[b+half])
-				at1.Add(&at1, &t)
-				// g_i(2): extrapolate each table linearly to x=2.
-				f2.Lerp(&two, &ft[b], &ft[b+half])
-				g2.Lerp(&two, &gt[b], &gt[b+half])
-				t.Mul(&f2, &g2)
-				at2.Add(&at2, &t)
-			}
-			acc[0].Add(&acc[0], &at0)
-			acc[1].Add(&acc[1], &at1)
-			acc[2].Add(&acc[2], &at2)
-		})
-		proof.Rounds[i] = ProductRound{At0: sums[0], At1: sums[1], At2: sums[2]}
-		tr.AppendElements("sumcheck2/round", sums[:])
-		r := tr.ChallengeElement("sumcheck2/r")
-		challenges[i] = r
-		foldTables(&r, ft, gt)
-		ft, gt = ft[:half], gt[:half]
-	}
-	return proof, reversed(challenges), claim, [2]field.Element{ft[0], gt[0]}, nil
-}
-
-// VerifyProduct checks a product sum-check proof against a claimed sum,
-// returning the challenge point and the final claimed product value
-// f(point)·g(point) for external checking.
-func VerifyProduct(claim field.Element, proof *ProductProof, tr *transcript.Transcript) ([]field.Element, field.Element, error) {
 	n := len(proof.Rounds)
-	if n == 0 {
-		return nil, field.Element{}, fmt.Errorf("sumcheck: empty product proof")
+	if src.tr == nil && len(src.fixed) != n {
+		return nil, field.Element{}, fmt.Errorf("sumcheck: %d challenges for %d rounds", len(src.fixed), n)
 	}
-	tr.AppendUint64("sumcheck2/n", uint64(n))
-	tr.AppendElement("sumcheck2/claim", &claim)
-	expected := claim
-	challenges := make([]field.Element, n)
+	expected, rs := claim, make([]field.Element, n)
 	for i, rd := range proof.Rounds {
 		var sum field.Element
-		sum.Add(&rd.At0, &rd.At1)
-		if !sum.Equal(&expected) {
-			return nil, field.Element{}, fmt.Errorf("%w: product round %d sum mismatch", ErrReject, i)
+		if !sum.Add(&rd.Evals[0], &rd.Evals[1]).Equal(&expected) {
+			return nil, field.Element{}, fmt.Errorf("%w: %s round %d sum mismatch", ErrReject, in.label, i)
 		}
-		tr.AppendElements("sumcheck2/round", []field.Element{rd.At0, rd.At1, rd.At2})
-		r := tr.ChallengeElement("sumcheck2/r")
-		challenges[i] = r
-		expected = poly.InterpolateEvalAt([]field.Element{rd.At0, rd.At1, rd.At2}, &r)
+		rs[i] = in.challenge(src, i, n, &claim, rd.Evals)
+		expected = poly.InterpolateEvalAt(rd.Evals, &rs[i])
 	}
-	return reversed(challenges), expected, nil
+	slices.Reverse(rs)
+	return rs, expected, nil
 }
 
-func reversed(rs []field.Element) []field.Element {
-	out := make([]field.Element, len(rs))
-	for i := range rs {
-		out[i] = rs[len(rs)-1-i]
-	}
-	return out
+// Prove proves the hypercube sum of m (nil proof if m has no variables).
+// It returns the proof, the challenge point in x_1..x_n order (round i
+// binds x_{n+1-i}), and the claimed sum.
+func Prove(m *poly.Multilinear, tr *transcript.Transcript) (*Proof, []field.Element, field.Element) {
+	proof, point, claim, _, _ := plain.prove(source{tr: tr}, nil, m)
+	return proof, point, claim
+}
+
+// ProveWithChallenges runs Algorithm 1 with caller-supplied randomness
+// (rs[0] binds x_n), returning the proof and the folded value p(point).
+func ProveWithChallenges(m *poly.Multilinear, rs []field.Element) (*Proof, field.Element, error) {
+	proof, _, _, finals, err := plain.prove(source{fixed: rs}, nil, m)
+	return proof, finals[0], err
+}
+
+// Verify checks a Prove proof against a claimed sum, returning the
+// challenge point and the final claimed evaluation p(point).
+func Verify(claim field.Element, proof *Proof, tr *transcript.Transcript) ([]field.Element, field.Element, error) {
+	return plain.verify(claim, proof, source{tr: tr})
+}
+
+// VerifyChallenges checks a ProveWithChallenges proof under known
+// randomness, returning the final claimed evaluation.
+func VerifyChallenges(claim field.Element, proof *Proof, rs []field.Element) (field.Element, error) {
+	_, final, err := plain.verify(claim, proof, source{fixed: rs})
+	return final, err
+}
+
+// ProveProduct proves the sum of f·g. It returns the proof, the challenge
+// point (x_1..x_n order), the claimed sum, and f(point), g(point).
+func ProveProduct(f, g *poly.Multilinear, tr *transcript.Transcript) (*Proof, []field.Element, field.Element, [2]field.Element, error) {
+	proof, point, claim, finals, err := product.prove(source{tr: tr}, nil, f, g)
+	return proof, point, claim, [2]field.Element(finals), err
+}
+
+// VerifyProduct checks a ProveProduct proof, returning the challenge
+// point and the final claim f(point)·g(point).
+func VerifyProduct(claim field.Element, proof *Proof, tr *transcript.Transcript) ([]field.Element, field.Element, error) {
+	return product.verify(claim, proof, source{tr: tr})
+}
+
+// ProveAffineProduct proves that a·v + c sums to the caller's claim (GKR
+// chains claims across phases; a wrong claim is an error). It returns the
+// proof, the challenge point, and [a(pt), v(pt), c(pt)].
+func ProveAffineProduct(a, v, c *poly.Multilinear, claim field.Element, tr *transcript.Transcript) (*Proof, []field.Element, [3]field.Element, error) {
+	proof, point, _, finals, err := affine.prove(source{tr: tr}, &claim, a, v, c)
+	return proof, point, [3]field.Element(finals), err
+}
+
+// VerifyAffineProduct checks a ProveAffineProduct proof, returning the
+// challenge point and the final claim a(pt)·v(pt) + c(pt).
+func VerifyAffineProduct(claim field.Element, proof *Proof, tr *transcript.Transcript) ([]field.Element, field.Element, error) {
+	return affine.verify(claim, proof, source{tr: tr})
+}
+
+// ProveTriple proves the sum of e·f·g. It returns the proof, the challenge
+// point (x_1..x_n order), the claimed sum, and [e(pt), f(pt), g(pt)].
+func ProveTriple(e, f, g *poly.Multilinear, tr *transcript.Transcript) (*Proof, []field.Element, field.Element, [3]field.Element, error) {
+	proof, point, claim, finals, err := triple.prove(source{tr: tr}, nil, e, f, g)
+	return proof, point, claim, [3]field.Element(finals), err
+}
+
+// VerifyTriple checks a ProveTriple proof, returning the challenge point
+// and the final claim e(pt)·f(pt)·g(pt) for the caller to settle.
+func VerifyTriple(claim field.Element, proof *Proof, tr *transcript.Transcript) ([]field.Element, field.Element, error) {
+	return triple.verify(claim, proof, source{tr: tr})
 }

@@ -2,6 +2,7 @@ package sumcheck
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"batchzk/internal/field"
@@ -48,12 +49,12 @@ func TestVerifyRejectsTamperedRound(t *testing.T) {
 	m := poly.RandMultilinear(6)
 	proof, _, claim := Prove(m, transcript.New("sc"))
 	for round := 0; round < 6; round += 2 {
-		tampered := &Proof{Rounds: append([]RoundPair{}, proof.Rounds...)}
-		tampered.Rounds[round].P1.Add(&tampered.Rounds[round].P1, &[]field.Element{field.One()}[0])
+		tampered := cloneProof(proof)
+		tampered.Rounds[round].Evals[0].Add(&tampered.Rounds[round].Evals[0], &[]field.Element{field.One()}[0])
 		_, final, err := Verify(claim, tampered, transcript.New("sc"))
 		if err == nil {
-			// Tampering a single P1 in a way that preserves P1+P2 is not
-			// possible here (we only changed P1), so sums must mismatch —
+			// Tampering a single π1 in a way that preserves π1+π2 is not
+			// possible here (we only changed π1), so sums must mismatch —
 			// except in round > 0 where the expected value also shifts.
 			// In every case a final-evaluation check must fail:
 			pt, _, _ := Verify(claim, tampered, transcript.New("sc"))
@@ -97,7 +98,9 @@ func TestProveWithChallenges(t *testing.T) {
 		t.Fatal("verifier final value != prover folded value")
 	}
 	// Cross-check against direct evaluation at the reversed point.
-	eval, _ := m.Evaluate(reversed(rs))
+	pt := slices.Clone(rs)
+	slices.Reverse(pt)
+	eval, _ := m.Evaluate(pt)
 	if !eval.Equal(&final) {
 		t.Fatal("folded value != polynomial evaluation")
 	}
@@ -125,18 +128,18 @@ func TestAlgorithm1Semantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Round 1: π11 = a0+a1 = 8, π12 = a2+a3 = 18.
-	if v, _ := proof.Rounds[0].P1.Uint64(); v != 8 {
+	if v, _ := proof.Rounds[0].Evals[0].Uint64(); v != 8 {
 		t.Fatalf("π11 = %d", v)
 	}
-	if v, _ := proof.Rounds[0].P2.Uint64(); v != 18 {
+	if v, _ := proof.Rounds[0].Evals[1].Uint64(); v != 18 {
 		t.Fatalf("π12 = %d", v)
 	}
 	// Table update with r1=2: A[b] = (1-2)A[b] + 2A[b+2] = 2A[b+2]-A[b].
 	// A' = [2·7-3, 2·11-5] = [11, 17]; round 2: π21 = 11, π22 = 17.
-	if v, _ := proof.Rounds[1].P1.Uint64(); v != 11 {
+	if v, _ := proof.Rounds[1].Evals[0].Uint64(); v != 11 {
 		t.Fatalf("π21 = %d", v)
 	}
-	if v, _ := proof.Rounds[1].P2.Uint64(); v != 17 {
+	if v, _ := proof.Rounds[1].Evals[1].Uint64(); v != 17 {
 		t.Fatalf("π22 = %d", v)
 	}
 	// Final: (1-9)·11 + 9·17 = -88 + 153 = 65.
@@ -190,7 +193,7 @@ func TestProductRejections(t *testing.T) {
 	if _, _, err := VerifyProduct(bad, proof, transcript.New("sc2")); !errors.Is(err, ErrReject) {
 		t.Fatalf("wrong product claim accepted: %v", err)
 	}
-	if _, _, err := VerifyProduct(claim, &ProductProof{}, transcript.New("sc2")); err == nil {
+	if _, _, err := VerifyProduct(claim, &Proof{}, transcript.New("sc2")); err == nil {
 		t.Fatal("empty product proof accepted")
 	}
 	h := poly.RandMultilinear(5)
@@ -198,8 +201,8 @@ func TestProductRejections(t *testing.T) {
 		t.Fatal("arity mismatch accepted")
 	}
 
-	tampered := &ProductProof{Rounds: append([]ProductRound{}, proof.Rounds...)}
-	tampered.Rounds[2].At2.Add(&tampered.Rounds[2].At2, &claim)
+	tampered := cloneProof(proof)
+	tampered.Rounds[2].Evals[2].Add(&tampered.Rounds[2].Evals[2], &claim)
 	pt, finalProd, err := VerifyProduct(claim, tampered, transcript.New("sc2"))
 	if err == nil {
 		fe, _ := f.Evaluate(pt)
@@ -207,7 +210,7 @@ func TestProductRejections(t *testing.T) {
 		var prod field.Element
 		prod.Mul(&fe, &ge)
 		if prod.Equal(&finalProd) {
-			t.Fatal("tampered At2 escaped detection")
+			t.Fatal("tampered evaluation at 2 escaped detection")
 		}
 	}
 }
@@ -219,10 +222,71 @@ func TestDeterministicProofs(t *testing.T) {
 	p1, _, _ := Prove(m1, transcript.New("sc"))
 	p2, _, _ := Prove(m2, transcript.New("sc"))
 	for i := range p1.Rounds {
-		if p1.Rounds[i] != p2.Rounds[i] {
+		if !field.VectorEqual(p1.Rounds[i].Evals, p2.Rounds[i].Evals) {
 			t.Fatal("proofs are not deterministic")
 		}
 	}
+}
+
+// TestVerifyRejectsMalformedRounds: every verifier rejects, without
+// indexing out of range, a nil or empty proof and a round whose
+// evaluation count is not the gate's degree + 1.
+func TestVerifyRejectsMalformedRounds(t *testing.T) {
+	f, g, h := poly.RandMultilinear(4), poly.RandMultilinear(4), poly.RandMultilinear(4)
+	rs := field.RandVector(4)
+	plainProof, _, plainClaim := Prove(f, transcript.New("m"))
+	fixedProof, _, _ := ProveWithChallenges(f, rs)
+	prodProof, _, prodClaim, _, _ := ProveProduct(f, g, transcript.New("m"))
+	var affClaim, tmp field.Element
+	for i := range f.Evals() {
+		tmp.Mul(&f.Evals()[i], &g.Evals()[i])
+		affClaim.Add(&affClaim, &tmp)
+		affClaim.Add(&affClaim, &h.Evals()[i])
+	}
+	affProof, _, _, _ := ProveAffineProduct(f, g, h, affClaim, transcript.New("m"))
+	tripProof, _, tripClaim, _, _ := ProveTriple(f, g, h, transcript.New("m"))
+	verifiers := []struct {
+		name   string
+		proof  *Proof
+		verify func(*Proof) error
+	}{
+		{"plain", plainProof, func(p *Proof) error { _, _, err := Verify(plainClaim, p, transcript.New("m")); return err }},
+		{"fixed", fixedProof, func(p *Proof) error { _, err := VerifyChallenges(plainClaim, p, rs); return err }},
+		{"product", prodProof, func(p *Proof) error { _, _, err := VerifyProduct(prodClaim, p, transcript.New("m")); return err }},
+		{"affine", affProof, func(p *Proof) error { _, _, err := VerifyAffineProduct(affClaim, p, transcript.New("m")); return err }},
+		{"triple", tripProof, func(p *Proof) error { _, _, err := VerifyTriple(tripClaim, p, transcript.New("m")); return err }},
+	}
+	cases := []struct {
+		name string
+		mut  func(*Proof) *Proof
+	}{
+		{"nil proof", func(*Proof) *Proof { return nil }},
+		{"no rounds", func(*Proof) *Proof { return &Proof{} }},
+		{"first round short", func(p *Proof) *Proof { p.Rounds[0].Evals = p.Rounds[0].Evals[:len(p.Rounds[0].Evals)-1]; return p }},
+		{"last round long", func(p *Proof) *Proof { p.Rounds[3].Evals = append(p.Rounds[3].Evals, field.One()); return p }},
+		{"round without evaluations", func(p *Proof) *Proof { p.Rounds[1].Evals = nil; return p }},
+		{"one evaluation", func(p *Proof) *Proof { p.Rounds[2].Evals = p.Rounds[2].Evals[:1]; return p }},
+	}
+	for _, v := range verifiers {
+		if err := v.verify(v.proof); err != nil {
+			t.Fatalf("%s: honest proof rejected: %v", v.name, err)
+		}
+		for _, c := range cases {
+			if err := v.verify(c.mut(cloneProof(v.proof))); !errors.Is(err, ErrReject) {
+				t.Errorf("%s, %s: err = %v, want ErrReject", v.name, c.name, err)
+			}
+		}
+	}
+}
+
+// cloneProof deep-copies a proof so a test can tamper with one round
+// without touching the original.
+func cloneProof(p *Proof) *Proof {
+	out := &Proof{Rounds: make([]Round, len(p.Rounds))}
+	for i, rd := range p.Rounds {
+		out.Rounds[i].Evals = append([]field.Element(nil), rd.Evals...)
+	}
+	return out
 }
 
 func BenchmarkProve(b *testing.B) {

@@ -104,7 +104,7 @@ func TestTripleRejections(t *testing.T) {
 	if _, _, err := VerifyTriple(bad, proof, transcript.New("sc3")); !errors.Is(err, ErrReject) {
 		t.Fatalf("wrong claim accepted: %v", err)
 	}
-	if _, _, err := VerifyTriple(claim, &TripleProof{}, transcript.New("sc3")); err == nil {
+	if _, _, err := VerifyTriple(claim, &Proof{}, transcript.New("sc3")); err == nil {
 		t.Fatal("empty proof accepted")
 	}
 	h := poly.RandMultilinear(5)
@@ -115,8 +115,8 @@ func TestTripleRejections(t *testing.T) {
 		t.Fatal("arity mismatch accepted (middle)")
 	}
 
-	tampered := &TripleProof{Rounds: append([]TripleRound{}, proof.Rounds...)}
-	tampered.Rounds[1].At[3].Add(&tampered.Rounds[1].At[3], &claim)
+	tampered := cloneProof(proof)
+	tampered.Rounds[1].Evals[3].Add(&tampered.Rounds[1].Evals[3], &claim)
 	pt, finalProd, err := VerifyTriple(claim, tampered, transcript.New("sc3"))
 	if err == nil {
 		// Must be caught at the external final check.

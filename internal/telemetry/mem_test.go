@@ -74,9 +74,11 @@ func TestMemSamplerPhaseReset(t *testing.T) {
 	m.SetPhase("wave")
 	hold := make([]byte, 16<<20)
 	m.Sample()
+	// Keep the buffer live through the sample: without a later use the
+	// compiler treats it as dead once allocated, and a GC that the
+	// allocation itself triggers frees it before ReadMemStats runs.
+	runtime.KeepAlive(hold)
 	firstPeak := m.PhasePeaks()["wave"]
-	_ = hold[0]
-	hold = nil
 	runtime.GC()
 
 	m.SetPhase("idle")

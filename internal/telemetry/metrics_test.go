@@ -9,6 +9,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -287,16 +288,24 @@ func TestQuantileEdgeCases(t *testing.T) {
 	}
 }
 
+// expvarRun numbers TestExpvarPerRegistry's invocations: expvar names
+// live for the life of the process, so a repeat under -count must
+// publish under fresh ones.
+var expvarRun atomic.Int64
+
 func TestExpvarPerRegistry(t *testing.T) {
 	// Two registries must both be reachable on expvar under their own
 	// names — the old process-wide once silently dropped the second.
+	run := expvarRun.Add(1)
+	reg1 := fmt.Sprintf("batchzk.test.%d.reg1", run)
+	reg2 := fmt.Sprintf("batchzk.test.%d.reg2", run)
 	r1, r2 := NewRegistry(), NewRegistry()
 	r1.Counter("hits").Add(11)
 	r2.Counter("hits").Add(22)
-	if err := r1.PublishExpvar("batchzk.test.reg1"); err != nil {
+	if err := r1.PublishExpvar(reg1); err != nil {
 		t.Fatal(err)
 	}
-	if err := r2.PublishExpvar("batchzk.test.reg2"); err != nil {
+	if err := r2.PublishExpvar(reg2); err != nil {
 		t.Fatal(err)
 	}
 	read := func(name string) Snapshot {
@@ -311,21 +320,21 @@ func TestExpvarPerRegistry(t *testing.T) {
 		}
 		return s
 	}
-	if got := read("batchzk.test.reg1").Counters["hits"]; got != 11 {
+	if got := read(reg1).Counters["hits"]; got != 11 {
 		t.Fatalf("reg1 hits = %d, want 11", got)
 	}
-	if got := read("batchzk.test.reg2").Counters["hits"]; got != 22 {
+	if got := read(reg2).Counters["hits"]; got != 22 {
 		t.Fatalf("reg2 hits = %d, want 22", got)
 	}
 
 	// The snapshot is live, not captured at publish time.
 	r1.Counter("hits").Add(1)
-	if got := read("batchzk.test.reg1").Counters["hits"]; got != 12 {
+	if got := read(reg1).Counters["hits"]; got != 12 {
 		t.Fatalf("reg1 snapshot is stale: %d, want 12", got)
 	}
 
 	// Republishing a taken name errors instead of panicking.
-	err := r2.PublishExpvar("batchzk.test.reg1")
+	err := r2.PublishExpvar(reg1)
 	if !errors.Is(err, ErrExpvarPublished) {
 		t.Fatalf("duplicate publish: err = %v, want ErrExpvarPublished", err)
 	}

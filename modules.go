@@ -9,6 +9,8 @@ package batchzk
 // functions.
 
 import (
+	"fmt"
+
 	"batchzk/internal/encoder"
 	"batchzk/internal/field"
 	"batchzk/internal/merkle"
@@ -54,7 +56,8 @@ func BatchMerkleRoots(tasks [][]MerkleBlock) ([]Digest, error) {
 	return pipeline.BatchMerkle(tasks)
 }
 
-// SumcheckProof is a sum-check proof (one message pair per variable).
+// SumcheckProof is a sum-check proof (one round polynomial per variable,
+// as its evaluations at 0 and 1).
 type SumcheckProof = sumcheck.Proof
 
 // ProveSum proves that the multilinear polynomial given by its
@@ -67,6 +70,9 @@ func ProveSum(domain string, evals []Element) (*SumcheckProof, Element, error) {
 		return nil, Element{}, err
 	}
 	proof, _, claim := sumcheck.Prove(m, transcript.New(domain))
+	if proof == nil {
+		return nil, Element{}, fmt.Errorf("batchzk: a one-entry table has no variables to sum over")
+	}
 	return proof, claim, nil
 }
 
